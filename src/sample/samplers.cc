@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "common/check.h"
+#include "common/flat_hash.h"
 
 namespace ndv {
 
@@ -24,10 +24,10 @@ std::vector<int64_t> SampleWithReplacement(int64_t n, int64_t r, Rng& rng) {
 std::vector<int64_t> SampleWithoutReplacementFloyd(int64_t n, int64_t r,
                                                    Rng& rng) {
   NDV_CHECK(0 <= r && r <= n);
-  // NOLINTNEXTLINE(ndv-no-std-hash-container): membership-only scratch set;
-  // the output order comes from the rows vector, never from iteration.
-  std::unordered_set<int64_t> chosen;
-  chosen.reserve(static_cast<size_t>(r));
+  // Membership only: the output order comes from the rows vector. Row
+  // indices are used as keys directly (FlatHashSet stores key 0 out of
+  // line), and Insert reports "newly inserted" like insert().second.
+  FlatHashSet chosen(r);
   std::vector<int64_t> rows;
   rows.reserve(static_cast<size_t>(r));
   // Floyd: for j = n-r .. n-1 pick t uniform in [0, j]; insert t unless
@@ -36,10 +36,10 @@ std::vector<int64_t> SampleWithoutReplacementFloyd(int64_t n, int64_t r,
   for (int64_t j = n - r; j < n; ++j) {
     const int64_t t =
         static_cast<int64_t>(rng.NextBounded(static_cast<uint64_t>(j) + 1));
-    if (chosen.insert(t).second) {
+    if (chosen.Insert(static_cast<uint64_t>(t))) {
       rows.push_back(t);
     } else {
-      chosen.insert(j);
+      chosen.Insert(static_cast<uint64_t>(j));
       rows.push_back(j);
     }
   }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstring>
+#include <numeric>
 
 #include "common/simd_hash.h"
 #include "common/value_hash.h"
@@ -17,10 +18,21 @@ namespace {
 // thread re-hashing inside one block (Algorithm L's steady state, or a
 // slice walk) decodes it once; a different thread never observes another
 // thread's scratch. Column ids are process-unique (monotone counter), so a
-// recycled heap address can never revive a dead column's cache entry.
+// recycled heap address can never revive a dead column's cache entry. One
+// block is all a caller needs as long as it visits rows block by block:
+// the slice walks do by construction, and HashRange groups its gather
+// list by block first (GatherByBlock) so a random-order sample decodes
+// each touched block once instead of once per row.
 uint64_t NextColumnId() {
   static std::atomic<uint64_t> next{1};
   return next.fetch_add(1, std::memory_order_relaxed);
+}
+
+// Every decode of a compressed block into a thread cache, process-wide.
+std::atomic<int64_t> block_decodes{0};
+
+void CountBlockDecode() {
+  block_decodes.fetch_add(1, std::memory_order_relaxed);
 }
 
 struct Int64BlockCache {
@@ -45,6 +57,49 @@ CodeBlockCache& ThreadCodeCache() {
   return cache;
 }
 
+// Gathers out[i] = hash_of(block_data(b)[rows[i] - b * block_rows]), b the
+// block holding rows[i], visiting the touched blocks in ascending order so
+// block_data runs once per block. The rows are bucketed by block with a
+// counting sort (O(rows + blocks spanned), no comparisons); each hash is
+// written back at its request position, so `out` is the same as a per-row
+// gather in request order. Positions are size_t, so any span the caller
+// can hold is indexable.
+template <typename BlockData, typename HashOf>
+void GatherByBlock(std::span<const int64_t> rows, int64_t column_rows,
+                   int64_t block_rows, BlockData&& block_data,
+                   HashOf&& hash_of, uint64_t* out) {
+  if (rows.empty()) return;
+  std::vector<int64_t> blocks(rows.size());
+  for (size_t i = 0; i < rows.size(); ++i) {
+    NDV_DCHECK(0 <= rows[i] && rows[i] < column_rows);
+    blocks[i] = rows[i] / block_rows;
+  }
+  const auto [min_it, max_it] =
+      std::minmax_element(blocks.begin(), blocks.end());
+  const int64_t first = *min_it;
+  // Positions of block first + k go to positions[starts[k] .. starts[k+1]).
+  std::vector<size_t> starts(static_cast<size_t>(*max_it - first) + 2, 0);
+  for (const int64_t block : blocks) {
+    ++starts[static_cast<size_t>(block - first) + 1];
+  }
+  std::partial_sum(starts.begin(), starts.end(), starts.begin());
+  std::vector<size_t> next(starts.begin(), starts.end() - 1);
+  std::vector<size_t> positions(rows.size());
+  for (size_t i = 0; i < rows.size(); ++i) {
+    positions[next[static_cast<size_t>(blocks[i] - first)]++] = i;
+  }
+  for (size_t k = 0; k + 1 < starts.size(); ++k) {
+    if (starts[k] == starts[k + 1]) continue;
+    const int64_t block = first + static_cast<int64_t>(k);
+    const int64_t block_begin = block * block_rows;
+    const auto* data = block_data(block);
+    for (size_t j = starts[k]; j < starts[k + 1]; ++j) {
+      const size_t i = positions[j];
+      out[i] = hash_of(data[rows[i] - block_begin]);
+    }
+  }
+}
+
 // Bounding byte range of blocks [first, last] (inclusive); the writer lays
 // blocks out in offset order, but computing min/max keeps the advice
 // correct for any validated directory.
@@ -64,6 +119,10 @@ void AdviseBlocks(const std::vector<PackBlockRef>& blocks, size_t first,
 }
 
 }  // namespace
+
+int64_t BlockDecodeCount() {
+  return block_decodes.load(std::memory_order_relaxed);
+}
 
 // --- BlockedInt64Column. ---------------------------------------------------
 
@@ -90,6 +149,7 @@ const int64_t* BlockedInt64Column::BlockValues(int64_t block) const {
     return cache.values.data();
   }
   cache.values.resize(static_cast<size_t>(blk.rows));
+  CountBlockDecode();
   DecodeInt64Block(blk.codec, blk.param, blk.rows, blk.data,
                    cache.values.data());
   cache.column = cache_id_;
@@ -106,12 +166,11 @@ uint64_t BlockedInt64Column::HashAt(int64_t row) const {
 
 void BlockedInt64Column::HashRange(std::span<const int64_t> rows,
                                    uint64_t* out) const {
-  for (size_t i = 0; i < rows.size(); ++i) {
-    NDV_DCHECK(0 <= rows[i] && rows[i] < rows_);
-    const int64_t block = rows[i] / block_rows_;
-    const int64_t offset = rows[i] - block * block_rows_;
-    out[i] = Hash64(static_cast<uint64_t>(BlockValues(block)[offset]));
-  }
+  const auto values = [this](int64_t block) { return BlockValues(block); };
+  const auto hash = [](int64_t value) {
+    return Hash64(static_cast<uint64_t>(value));
+  };
+  GatherByBlock(rows, rows_, block_rows_, values, hash, out);
 }
 
 void BlockedInt64Column::HashSlice(int64_t begin, int64_t end,
@@ -304,6 +363,7 @@ const int32_t* BlockedStringColumn::BlockCodes(int64_t block) const {
     return cache.codes.data();
   }
   cache.codes.resize(static_cast<size_t>(blk.rows));
+  CountBlockDecode();
   DecodeCodesBlock(blk.codec, blk.param, blk.rows, blk.data,
                    cache.codes.data());
   cache.column = cache_id_;
@@ -320,12 +380,11 @@ uint64_t BlockedStringColumn::HashAt(int64_t row) const {
 
 void BlockedStringColumn::HashRange(std::span<const int64_t> rows,
                                     uint64_t* out) const {
-  for (size_t i = 0; i < rows.size(); ++i) {
-    NDV_DCHECK(0 <= rows[i] && rows[i] < rows_);
-    const int64_t block = rows[i] / block_rows_;
-    const int32_t code = BlockCodes(block)[rows[i] - block * block_rows_];
-    out[i] = hashes_[static_cast<size_t>(code)];
-  }
+  const auto codes = [this](int64_t block) { return BlockCodes(block); };
+  const auto hash = [this](int32_t code) {
+    return hashes_[static_cast<size_t>(code)];
+  };
+  GatherByBlock(rows, rows_, block_rows_, codes, hash, out);
 }
 
 void BlockedStringColumn::HashSlice(int64_t begin, int64_t end,

@@ -21,11 +21,24 @@ namespace ndv {
 // a full scan runs in bounded memory and a sampled scan never decodes a
 // block Algorithm L skipped.
 //
+// The cache holds one block, so callers must visit rows block by block to
+// decode each block once: the slice walks (HashSlice, Copy*) do by
+// construction, and HashRange buckets its gather list by block with a
+// counting sort, visits the touched blocks in order, and writes each hash
+// back at its request position — a random-order sample of r rows decodes
+// each touched block once, not once per row, and the output is identical
+// to per-row HashAt in request order.
+//
 // Thread safety / determinism: the decode scratch is thread_local (keyed
 // by column + block index), so concurrent scans never share mutable state
 // and hashing is bit-identical to the heap path at every thread count.
 // All blocks must have been validated by the pack reader before a column
 // is built; the decode loops only DCHECK.
+
+// Number of compressed blocks decoded into a thread cache since process
+// start, across every blocked column and thread (relaxed atomic, always
+// on). Raw blocks alias the mapping and never count.
+int64_t BlockDecodeCount();
 
 // One block of a v2 column: directory metadata plus a pointer into the
 // (validated) mapping.

@@ -1,6 +1,5 @@
 #include "table/column_sampling.h"
 
-#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -12,17 +11,16 @@ namespace ndv {
 
 SampleSummary SummarizeRows(const Column& column,
                             std::span<const int64_t> rows) {
-  // One streamed pass: batch-hash a block of sampled rows, feed the hashes
-  // straight into the flat counter, reduce the counter to the profile. No
-  // intermediate per-sample hash vector is materialized.
-  constexpr size_t kBlock = 2048;
-  uint64_t block[kBlock];
+  // One gather of the whole sample into an r-sized hash buffer, then one
+  // pass through the flat counter. The single HashRange call lets a
+  // blocked column group every sampled row by block and decode each
+  // touched block once; chunking the gather would re-touch every block
+  // per chunk. The profile depends only on the hashed multiset, so the
+  // buffer's order (request order) does not matter.
+  std::vector<uint64_t> hashes(rows.size());
+  column.HashRange(rows, hashes.data());
   FlatHashCounter counts;  // unreserved: d is typically far below r
-  for (size_t offset = 0; offset < rows.size(); offset += kBlock) {
-    const size_t count = std::min(kBlock, rows.size() - offset);
-    column.HashRange(rows.subspan(offset, count), block);
-    for (size_t i = 0; i < count; ++i) counts.Add(block[i]);
-  }
+  for (const uint64_t hash : hashes) counts.Add(hash);
   SampleSummary summary;
   summary.table_rows = column.size();
   summary.sample_rows = static_cast<int64_t>(rows.size());

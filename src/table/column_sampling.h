@@ -10,9 +10,11 @@
 
 namespace ndv {
 
-// Glue between row sampling and the frequency profile: batch-hashes the
-// sampled rows of a column and streams them through a flat counter into a
-// SampleSummary (one pass, no intermediate hash vector).
+// Glue between row sampling and the frequency profile: batch-hashes all
+// sampled rows of a column with one HashRange call into an r-sized hash
+// buffer (blocked columns group the gather by block, decoding each touched
+// block once), then counts the buffer through a flat counter into a
+// SampleSummary.
 
 enum class SamplingScheme {
   kWithReplacement,

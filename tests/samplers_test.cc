@@ -69,6 +69,40 @@ TEST(FloydTest, UniformInclusionProbability) {
   }
 }
 
+// FNV-1a over the row values, for pinning long sequences.
+uint64_t RowsFingerprint(const std::vector<int64_t>& rows) {
+  uint64_t h = 0xcbf29ce484222325ULL;
+  for (const int64_t row : rows) {
+    h = (h ^ static_cast<uint64_t>(row)) * 0x100000001b3ULL;
+  }
+  return h;
+}
+
+// Golden sequences: Floyd's exact output (order included) for fixed seeds.
+// Every sampled ANALYZE, its published statistics and the paper figures
+// are functions of this sequence, so a change of the membership set or of
+// the draw order must show up here, not as drifted estimates.
+TEST(FloydTest, GoldenSequencesAreStable) {
+  const auto draw = [](int64_t n, int64_t r, uint64_t seed) {
+    Rng rng(seed);
+    return SampleWithoutReplacementFloyd(n, r, rng);
+  };
+  // Draws row 0 first.
+  EXPECT_EQ(draw(10, 6, 2), (std::vector<int64_t>{0, 4, 1, 5, 6, 2}));
+  // Draws row 0 last.
+  EXPECT_EQ(draw(10, 6, 6), (std::vector<int64_t>{3, 5, 6, 1, 8, 0}));
+  // Full population: row j is new at step j, drawn or not.
+  EXPECT_EQ(draw(12, 12, 7),
+            (std::vector<int64_t>{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}));
+  // An ANALYZE-sized draw: a prefix plus a whole-sequence fingerprint.
+  const std::vector<int64_t> large = draw(1000000, 50000, 2024);
+  ASSERT_EQ(large.size(), 50000u);
+  EXPECT_EQ(std::vector<int64_t>(large.begin(), large.begin() + 4),
+            (std::vector<int64_t>{53003, 743000, 68452, 151730}));
+  EXPECT_EQ(RowsFingerprint(large), 0x1d52820491c28a67ULL);
+  EXPECT_TRUE(AllDistinct(large));
+}
+
 TEST(FisherYatesTest, ProducesDistinctRowsOfRightSize) {
   Rng rng(7);
   const auto rows = SampleWithoutReplacementFisherYates(1000, 100, rng);
