@@ -1,6 +1,5 @@
 // Fuzzes the ndvpack v2 parser (InspectPackV2 / OpenPackV2FromBytes) over
-// arbitrary bytes. v2 adds per-block codecs and lazy decode on top of the
-// v1 trust boundary, so the properties extend fuzz_ndvpack.cc's:
+// arbitrary bytes, per-block codecs and lazy decode included:
 //   - untrusted input NEVER crashes or over-reads: malformed bytes yield a
 //     Status with a non-empty message, from both the inspector and the
 //     opener (they must agree on accept/reject);

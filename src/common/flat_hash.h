@@ -3,7 +3,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <limits>
 #include <utility>
 #include <vector>
 
@@ -198,21 +197,6 @@ class FlatHashCounter {
       NDV_DCHECK_LE(used_ * 4, Capacity() * 3);
     }
     counts_[index] += delta;
-  }
-
-  // Adds every (key, count) of `other` into this counter. Long-lived
-  // incremental profiles merge deltas forever, so a per-key sum that no
-  // longer fits int64_t is a real (if distant) hazard: it must fail loudly
-  // — NDV_CHECK — rather than wrap into a negative count that silently
-  // corrupts every profile built downstream.
-  void MergeFrom(const FlatHashCounter& other) {
-    Reserve(size() + other.size());
-    other.ForEach([this](uint64_t key, int64_t count) {
-      NDV_CHECK_MSG(
-          Count(key) <= std::numeric_limits<int64_t>::max() - count,
-          "FlatHashCounter::MergeFrom would overflow the count of a key");
-      Add(key, count);
-    });
   }
 
   // Occurrences of `key` added so far (0 when absent).

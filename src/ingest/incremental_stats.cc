@@ -33,9 +33,6 @@ void ValidateOptions(const IncrementalStatsOptions& options) {
   NDV_CHECK_MSG(options.linear_counting_bits >= 1,
                 "linear_counting_bits must be >= 1, got %lld",
                 static_cast<long long>(options.linear_counting_bits));
-  NDV_CHECK_MSG(0 <= options.sample_bits && options.sample_bits <= 63,
-                "sample_bits must be in [0, 63], got %d",
-                options.sample_bits);
 }
 
 SampleSummary SummaryFromSample(int64_t rows,
@@ -92,10 +89,6 @@ IncrementalStats::IncrementalStats(const IncrementalStatsOptions& options,
                                    int partition)
     : options_(options),
       partition_(partition),
-      sample_threshold_(options.sample_bits == 0
-                            ? std::numeric_limits<uint64_t>::max()
-                            : (std::numeric_limits<uint64_t>::max() >>
-                               options.sample_bits)),
       hll_(options.hll_precision),
       linear_counting_(options.linear_counting_bits),
       reservoir_(options.reservoir_capacity, Rng(options.seed)) {
@@ -107,12 +100,10 @@ void IncrementalStats::Add(uint64_t hash) {
 }
 
 void IncrementalStats::AddHashes(std::span<const uint64_t> hashes) {
-  // Sketch backbone + sampled profile: every hash, O(1) each (the counter
-  // is only touched for the 2^-sample_bits sub-stream).
+  // Sketch backbone: every hash, O(1) each.
   for (const uint64_t hash : hashes) {
     hll_.Add(hash);
     linear_counting_.Add(hash);
-    if (hash <= sample_threshold_) sampled_counts_.Add(hash);
   }
   // Reservoir: honor Algorithm L's skip schedule. A run of discards is one
   // SkipDiscarded call, so a filled reservoir costs O(1) per run instead
@@ -161,10 +152,6 @@ ColumnStats IncrementalStats::Snapshot(std::string column_name,
                           estimator);
 }
 
-double IncrementalStats::SampleRate() const {
-  return std::ldexp(1.0, -options_.sample_bits);
-}
-
 void IncrementalStats::MarkFresh() {
   rows_at_fresh_ = rows();
   sketch_at_fresh_ = SketchEstimate();
@@ -201,8 +188,7 @@ bool IncrementalStats::MergeCompatible(const IncrementalStats& other) const {
   return options_.reservoir_capacity == other.options_.reservoir_capacity &&
          options_.hll_precision == other.options_.hll_precision &&
          options_.linear_counting_bits ==
-             other.options_.linear_counting_bits &&
-         options_.sample_bits == other.options_.sample_bits;
+             other.options_.linear_counting_bits;
 }
 
 SampleSummary MergedIncrementalStats::Summary() const {
@@ -237,7 +223,6 @@ StatusOr<MergedIncrementalStats> MergeIncrementalStats(
   MergedIncrementalStats merged;
   merged.hll = first.hll();
   merged.linear_counting = first.linear_counting();
-  merged.sampled_counts = first.sampled_counts();
   merged.rows = first.rows();
   std::vector<PartitionSample> reservoirs;
   reservoirs.reserve(ordered.size());
@@ -252,7 +237,6 @@ StatusOr<MergedIncrementalStats> MergeIncrementalStats(
     }
     merged.hll.Merge(part.hll());
     merged.linear_counting.Merge(part.linear_counting());
-    merged.sampled_counts.MergeFrom(part.sampled_counts());
     merged.rows += part.rows();
     reservoirs.push_back(
         PartitionSample{part.rows(), part.reservoir().sample()});

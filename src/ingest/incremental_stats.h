@@ -7,10 +7,8 @@
 #include <vector>
 
 #include "catalog/stats_catalog.h"
-#include "common/flat_hash.h"
 #include "common/status.h"
 #include "estimators/estimator.h"
-#include "profile/frequency_profile.h"
 #include "sample/samplers.h"
 #include "sketch/hyperloglog.h"
 #include "sketch/linear_counting.h"
@@ -22,7 +20,7 @@ namespace ndv {
 //
 // A full ANALYZE answers "how many distinct values" by re-scanning; under a
 // steady append stream that is O(table) work per refresh. IncrementalStats
-// instead rides the insert path, paying O(1) per appended row for three
+// instead rides the insert path, paying O(1) per appended row for two
 // complementary summaries of everything it has seen:
 //
 //   1. A streaming Algorithm-L reservoir — a live uniform without-
@@ -30,11 +28,7 @@ namespace ndv {
 //      (and the GEE [LOWER, UPPER] bracket) can be materialized at any
 //      moment. Batch feeds honor the sampler's skip schedule, so a run of
 //      discarded rows costs O(1), not O(run).
-//   2. A hash-sampled FrequencyProfile delta — a FlatHashCounter keyed by
-//      the hashes whose top `sample_bits` bits are zero (so a value is
-//      deterministically in or out of the sub-stream), giving an exact
-//      multiplicity profile of a 2^-sample_bits fraction of the stream.
-//   3. A mergeable sketch backbone — HyperLogLog + linear counting over
+//   2. A mergeable sketch backbone — HyperLogLog + linear counting over
 //      every hash. Sketch merges are order-independent bit-for-bit, so
 //      per-partition deltas combine without re-shipping rows, and reading
 //      the running distinct estimate is O(registers), independent of the
@@ -66,10 +60,6 @@ struct IncrementalStatsOptions {
   int hll_precision = 12;
   // Linear-counting bitmap size in bits.
   int64_t linear_counting_bits = int64_t{1} << 16;
-  // The sampled profile keeps hashes whose top `sample_bits` bits are all
-  // zero — a 2^-sample_bits fraction of the value space. 0 keeps every
-  // hash (exact profile). Requires 0 <= sample_bits <= 63.
-  int sample_bits = 6;
   // Seed of the reservoir's RNG (the only randomness in the tracker).
   uint64_t seed = 1;
 };
@@ -123,13 +113,6 @@ class IncrementalStats {
   ColumnStats Snapshot(std::string column_name,
                        const Estimator& estimator) const;
 
-  // The hash-sampled profile delta and the fraction of the value space it
-  // covers (2^-sample_bits).
-  FrequencyProfile SampledProfile() const {
-    return FrequencyProfile::FromHashCounter(sampled_counts_);
-  }
-  double SampleRate() const;
-
   // Freshness baseline: a full re-ANALYZE of the backing table records the
   // row count and sketch estimate as of that publication. Drift and the
   // Rule-1 staleness fraction are measured against this point.
@@ -148,9 +131,10 @@ class IncrementalStats {
 
   // Rule-1 staleness (PostgreSQL-style autovacuum trigger): rows appended
   // since the baseline exceed `changed_fraction` of the rows at the
-  // baseline. Same semantics as IncrementalColumnTracker: never-fresh is
-  // always stale; IsStale clamps a bad knob to 0 (any append is stale),
-  // IsStaleOrStatus rejects it with InvalidArgument.
+  // baseline. Never-fresh is always stale, and after MarkFresh at 0 rows
+  // any growth is stale. IsStale clamps a bad knob (NaN, zero, negative)
+  // to 0 — any append is stale — while IsStaleOrStatus rejects it with
+  // InvalidArgument.
   bool IsStale(double changed_fraction = 0.2) const;
   StatusOr<bool> IsStaleOrStatus(double changed_fraction) const;
 
@@ -161,16 +145,13 @@ class IncrementalStats {
   // Raw parts, exposed for merging and for bit-identity tests.
   const HyperLogLog& hll() const { return hll_; }
   const LinearCounting& linear_counting() const { return linear_counting_; }
-  const FlatHashCounter& sampled_counts() const { return sampled_counts_; }
   const ReservoirSamplerL& reservoir() const { return reservoir_; }
 
  private:
   IncrementalStatsOptions options_;
   int partition_;
-  uint64_t sample_threshold_;  // keep hash iff hash <= sample_threshold_
   HyperLogLog hll_;
   LinearCounting linear_counting_;
-  FlatHashCounter sampled_counts_;
   ReservoirSamplerL reservoir_;
   int64_t rows_at_fresh_ = -1;  // -1 = never marked fresh
   double sketch_at_fresh_ = 0.0;
@@ -184,7 +165,6 @@ struct MergedIncrementalStats {
   int64_t rows = 0;
   HyperLogLog hll;
   LinearCounting linear_counting{1};
-  FlatHashCounter sampled_counts;
   // Uniform WOR sample of the union stream, sorted (canonical form so two
   // merges of the same parts compare bit-equal regardless of arrival
   // order).

@@ -80,6 +80,9 @@ uint64_t StatsMaintainer::AppendHashes(const std::string& column,
     state.stats->AddHashes(hashes);
     ++counters_.appends;
     counters_.rows_appended += static_cast<int64_t>(hashes.size());
+    // A column born empty has nothing to estimate until its first row
+    // arrives: publish nothing and report the epoch readers already see.
+    if (state.stats->rows() == 0) return catalog_->epoch();
 
     // Publish the refreshed statistics as a new epoch. GEE bounds are
     // recomputed over the live reservoir, so the published bracket covers

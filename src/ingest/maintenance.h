@@ -96,7 +96,9 @@ class StatsMaintainer {
 
   // Observes one append batch, publishes refreshed statistics, and fires
   // the drift trigger when warranted. Returns the published epoch. The
-  // column must be tracked.
+  // column must be tracked. While the column has no rows at all (born
+  // empty, only empty batches so far) nothing is published and the
+  // catalog's current epoch is returned.
   uint64_t Append(const std::string& column, const ColumnSlice& batch)
       NDV_EXCLUDES(mutex_);
   uint64_t AppendHashes(const std::string& column,

@@ -16,25 +16,21 @@ StatsService::StatsService(std::shared_ptr<const Table> table,
   NDV_CHECK_MSG(table_ != nullptr, "StatsService requires a table");
   NDV_CHECK_MSG(options_.max_inflight >= 1,
                 "max_inflight must be >= 1, got %d", options_.max_inflight);
-  NDV_CHECK_MSG(options_.tracker_reservoir >= 1,
-                "tracker_reservoir must be >= 1, got %lld",
-                static_cast<long long>(options_.tracker_reservoir));
 
   // Warm one incremental tracker per column with the table's current rows,
   // so drift fractions are measured against the real table size and the
-  // tracker's reservoir is a live uniform sample of the column. The
-  // constructor is single-threaded, but trackers_ is guarded state: hold
-  // its lock so the warm-up fill lives inside the declared capability
-  // (this was an unlocked write before the annotations landed).
+  // sketch baseline covers the existing values. Staleness reads only row
+  // counts and sketch registers, so the trackers keep the default
+  // IncrementalStatsOptions. The constructor is single-threaded, but
+  // trackers_ is guarded state: hold its lock so the warm-up fill lives
+  // inside the declared capability (this was an unlocked write before the
+  // annotations landed).
   {
     MutexLock lock(tracker_mutex_);
     for (int64_t c = 0; c < table_->NumColumns(); ++c) {
       const Column& column = table_->column(c);
-      IncrementalStatsOptions tracker_options;
-      tracker_options.reservoir_capacity = options_.tracker_reservoir;
-      tracker_options.seed =
-          options_.analyze.seed + static_cast<uint64_t>(c) + 1;
-      auto tracker = std::make_unique<IncrementalStats>(tracker_options);
+      auto tracker =
+          std::make_unique<IncrementalStats>(IncrementalStatsOptions{});
       column.PrepareFullScan();
       tracker->AppendBatch(FullColumnSlice(column));
       trackers_.emplace(table_->column_name(c), std::move(tracker));

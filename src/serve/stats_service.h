@@ -49,10 +49,6 @@ struct StatsServiceOptions {
   // Drift threshold fed to IsStaleOrStatus (fraction of rows changed since
   // the last publication that makes a column stale).
   double stale_changed_fraction = 0.2;
-  // Reservoir capacity of each column's incremental tracker (the other
-  // tracker knobs — sketch sizes, sampled-profile rate — use the
-  // IncrementalStatsOptions defaults).
-  int64_t tracker_reservoir = 4096;
   // Admission bound: requests executing concurrently before load shedding.
   int max_inflight = 256;
   Clock* clock = nullptr;  // nullptr = SystemClock()
@@ -104,8 +100,10 @@ class StatsService {
   Message HandleAnalyze(const Message& request)
       NDV_EXCLUDES(analyze_mutex_, tracker_mutex_);
   Message HandleList();
-  // Staleness of one column under the published epoch; OK result pairs the
-  // verdict with the rule that fired (for logs/tests).
+  // Staleness of one column under the published epoch: true when Rule 1
+  // (rows appended past stale_changed_fraction) or Rule 2 (sketch drift
+  // past the published bracket's width) fires. Fails only when
+  // stale_changed_fraction is invalid.
   StatusOr<bool> ColumnIsStale(const ColumnStats& published)
       NDV_EXCLUDES(tracker_mutex_);
   // Runs AnalyzeTable, journals the result (when durability is on), and

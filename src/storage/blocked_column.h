@@ -13,10 +13,9 @@
 
 namespace ndv {
 
-// Column implementations over an ndvpack v2 block directory. Where v1's
-// mapped columns alias one contiguous array, a v2 column is a sequence of
-// independently-coded blocks: raw blocks are still aliased in place
-// (zero-copy), compressed blocks (delta, narrow dict codes) decode on
+// Column implementations over an ndvpack v2 block directory. A column is
+// a sequence of independently-coded blocks: raw blocks are aliased in
+// place (zero-copy), compressed blocks (delta, narrow dict codes) decode on
 // demand into a small per-thread scratch buffer — one block at a time, so
 // a full scan runs in bounded memory and a sampled scan never decodes a
 // block Algorithm L skipped.
@@ -117,7 +116,7 @@ class BlockedDoubleColumn final : public Column {
 
 // Dictionary string column over raw/narrow code blocks plus the shared
 // per-column dictionary (offsets + blob aliased from the mapping, hashes
-// precomputed at open like the v1 mapped column).
+// precomputed at open).
 class BlockedStringColumn final : public Column {
  public:
   BlockedStringColumn(int64_t rows, int64_t block_rows,

@@ -12,9 +12,9 @@ namespace ndv {
 
 // A read-only memory-mapped file (POSIX mmap). The mapping is private and
 // read-only; the bytes live for exactly as long as the MappedFile does.
-// Consumers that hand out views into the mapping (the mmap-backed columns
-// in storage/mapped_column.h) co-own it through a shared_ptr, so a view
-// can never outlive its backing pages.
+// Consumers that hand out views into the mapping (the block-granular
+// columns in storage/blocked_column.h) co-own it through a shared_ptr, so
+// a view can never outlive its backing pages.
 //
 // An empty file maps to an empty span with no underlying mmap call.
 class MappedFile {

@@ -7,7 +7,6 @@
 
 #include "common/check.h"
 #include "storage/blocked_column.h"
-#include "storage/mapped_column.h"
 
 namespace ndv {
 namespace {
@@ -18,11 +17,6 @@ Status AppendInt64(const Column& column, int64_t begin, int64_t end,
   if (const auto* heap = dynamic_cast<const Int64Column*>(&column)) {
     out->insert(out->end(), heap->values().begin() + begin,
                 heap->values().begin() + end);
-    return Status::Ok();
-  }
-  if (const auto* mapped = dynamic_cast<const MappedInt64Column*>(&column)) {
-    const auto values = mapped->values();
-    out->insert(out->end(), values.begin() + begin, values.begin() + end);
     return Status::Ok();
   }
   if (const auto* blocked =
@@ -40,12 +34,6 @@ Status AppendDouble(const Column& column, int64_t begin, int64_t end,
   if (const auto* heap = dynamic_cast<const DoubleColumn*>(&column)) {
     out->insert(out->end(), heap->values().begin() + begin,
                 heap->values().begin() + end);
-    return Status::Ok();
-  }
-  if (const auto* mapped =
-          dynamic_cast<const MappedDoubleColumn*>(&column)) {
-    const auto values = mapped->values();
-    out->insert(out->end(), values.begin() + begin, values.begin() + end);
     return Status::Ok();
   }
   if (const auto* blocked =

@@ -1,15 +1,9 @@
 #include "storage/ndvpack.h"
 
 #include <bit>
-#include <cstring>
-#include <limits>
 #include <utility>
-#include <vector>
 
-#include "common/check.h"
-#include "common/file_io.h"
-#include "storage/blocked_column.h"
-#include "storage/mapped_column.h"
+#include "storage/mapped_file.h"
 #include "storage/pack_reader.h"
 #include "storage/pack_writer.h"
 
@@ -20,498 +14,29 @@ namespace ndv {
 static_assert(std::endian::native == std::endian::little,
               "ndvpack readers alias little-endian payloads in place");
 
-namespace {
-
-constexpr uint64_t kHeaderBytes = 40;
-constexpr uint64_t kTrailerBytes = 8;
-constexpr uint32_t kTypeInt64 = 0;
-constexpr uint32_t kTypeDouble = 1;
-constexpr uint32_t kTypeString = 2;
-
-void AppendU32(std::string& out, uint32_t v) {
-  out.append(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-
-void AppendU64(std::string& out, uint64_t v) {
-  out.append(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-
-// Pads `payload` (which starts at file offset kHeaderBytes) to the next
-// 8-byte file boundary and returns the file offset of the next byte.
-uint64_t AlignPayload8(std::string& payload) {
-  while ((kHeaderBytes + payload.size()) % 8 != 0) payload.push_back('\0');
-  return kHeaderBytes + payload.size();
-}
-
-// --------------------------------------------------------------------------
-// Reader-side cursor over untrusted bytes: every read is bounds-checked and
-// returns false instead of over-reading.
-
-class ByteReader {
- public:
-  explicit ByteReader(std::span<const uint8_t> bytes) : bytes_(bytes) {}
-
-  bool ReadU32(uint32_t* out) { return ReadRaw(out, sizeof(*out)); }
-  bool ReadU64(uint64_t* out) { return ReadRaw(out, sizeof(*out)); }
-
-  bool ReadString(size_t length, std::string_view* out) {
-    if (length > Remaining()) return false;
-    *out = {reinterpret_cast<const char*>(bytes_.data() + pos_), length};
-    pos_ += length;
-    return true;
-  }
-
-  size_t Remaining() const { return bytes_.size() - pos_; }
-
- private:
-  bool ReadRaw(void* out, size_t length) {
-    if (length > Remaining()) return false;
-    std::memcpy(out, bytes_.data() + pos_, length);
-    pos_ += length;
-    return true;
-  }
-
-  std::span<const uint8_t> bytes_;
-  size_t pos_ = 0;
-};
-
-}  // namespace
-
-uint64_t PackChecksum(std::span<const uint8_t> bytes) {
-  uint64_t h = 0x9e3779b97f4a7c15ULL ^ static_cast<uint64_t>(bytes.size());
-  size_t i = 0;
-  for (; i + 8 <= bytes.size(); i += 8) {
-    uint64_t word;
-    std::memcpy(&word, bytes.data() + i, sizeof(word));
-    h = Hash64(h ^ word);
-  }
-  if (i < bytes.size()) {
-    uint64_t word = 0;  // Zero-padded tail; the length seed disambiguates.
-    std::memcpy(&word, bytes.data() + i, bytes.size() - i);
-    h = Hash64(h ^ word);
-  }
-  return h;
-}
-
 bool StartsWithPackMagic(std::string_view head) {
-  if (head.size() < kPackMagic.size()) return false;
-  const std::string_view magic = head.substr(0, kPackMagic.size());
-  return magic == kPackMagic || magic == kPackV2Magic;
-}
-
-// --------------------------------------------------------------------------
-// Writer.
-
-std::string SerializePack(const Table& table) {
-  const auto row_count = static_cast<uint64_t>(table.NumRows());
-  std::string payload;    // file bytes [kHeaderBytes, directory_offset)
-  std::string directory;  // file bytes [directory_offset, checksum)
-
-  for (int64_t c = 0; c < table.NumColumns(); ++c) {
-    const Column& column = table.column(c);
-    const std::string& name = table.column_name(c);
-    NDV_CHECK_LE(name.size(),
-                 static_cast<size_t>(std::numeric_limits<uint32_t>::max()));
-    AppendU32(directory, static_cast<uint32_t>(name.size()));
-    directory.append(name);
-
-    // The writer accepts both heap and mapped columns, so repacking a
-    // mapped table round-trips without materializing heap copies.
-    if (const auto* i64 = dynamic_cast<const Int64Column*>(&column)) {
-      AppendU32(directory, kTypeInt64);
-      const uint64_t offset = AlignPayload8(payload);
-      payload.append(reinterpret_cast<const char*>(i64->values().data()),
-                     row_count * sizeof(int64_t));
-      AppendU64(directory, offset);
-    } else if (const auto* mi64 =
-                   dynamic_cast<const MappedInt64Column*>(&column)) {
-      AppendU32(directory, kTypeInt64);
-      const uint64_t offset = AlignPayload8(payload);
-      payload.append(reinterpret_cast<const char*>(mi64->values().data()),
-                     row_count * sizeof(int64_t));
-      AppendU64(directory, offset);
-    } else if (const auto* dbl = dynamic_cast<const DoubleColumn*>(&column)) {
-      AppendU32(directory, kTypeDouble);
-      const uint64_t offset = AlignPayload8(payload);
-      payload.append(reinterpret_cast<const char*>(dbl->values().data()),
-                     row_count * sizeof(double));
-      AppendU64(directory, offset);
-    } else if (const auto* mdbl =
-                   dynamic_cast<const MappedDoubleColumn*>(&column)) {
-      AppendU32(directory, kTypeDouble);
-      const uint64_t offset = AlignPayload8(payload);
-      payload.append(reinterpret_cast<const char*>(mdbl->values().data()),
-                     row_count * sizeof(double));
-      AppendU64(directory, offset);
-    } else if (const auto* str = dynamic_cast<const StringColumn*>(&column)) {
-      AppendU32(directory, kTypeString);
-      const uint64_t codes_offset = AlignPayload8(payload);
-      payload.append(reinterpret_cast<const char*>(str->codes().data()),
-                     row_count * sizeof(int32_t));
-      const uint64_t offsets_offset = AlignPayload8(payload);
-      uint64_t blob_length = 0;
-      for (const std::string& entry : str->dictionary()) {
-        AppendU64(payload, blob_length);
-        blob_length += entry.size();
-      }
-      AppendU64(payload, blob_length);
-      const uint64_t blob_offset = kHeaderBytes + payload.size();
-      for (const std::string& entry : str->dictionary()) {
-        payload.append(entry);
-      }
-      AppendU64(directory, codes_offset);
-      AppendU64(directory, static_cast<uint64_t>(str->dictionary_size()));
-      AppendU64(directory, offsets_offset);
-      AppendU64(directory, blob_offset);
-      AppendU64(directory, blob_length);
-    } else if (const auto* mstr =
-                   dynamic_cast<const MappedStringColumn*>(&column)) {
-      AppendU32(directory, kTypeString);
-      const uint64_t codes_offset = AlignPayload8(payload);
-      payload.append(reinterpret_cast<const char*>(mstr->codes().data()),
-                     row_count * sizeof(int32_t));
-      const uint64_t offsets_offset = AlignPayload8(payload);
-      uint64_t blob_length = 0;
-      const int64_t dict_count = mstr->dictionary_size();
-      for (int64_t i = 0; i < dict_count; ++i) {
-        AppendU64(payload, blob_length);
-        blob_length += mstr->DictionaryEntry(static_cast<int32_t>(i)).size();
-      }
-      AppendU64(payload, blob_length);
-      const uint64_t blob_offset = kHeaderBytes + payload.size();
-      for (int64_t i = 0; i < dict_count; ++i) {
-        payload.append(mstr->DictionaryEntry(static_cast<int32_t>(i)));
-      }
-      AppendU64(directory, codes_offset);
-      AppendU64(directory, static_cast<uint64_t>(dict_count));
-      AppendU64(directory, offsets_offset);
-      AppendU64(directory, blob_offset);
-      AppendU64(directory, blob_length);
-    } else if (const auto* bi64 =
-                   dynamic_cast<const BlockedInt64Column*>(&column)) {
-      // Blocked (v2) columns decode into a scratch buffer: downgrading a
-      // compressed pack to v1 inherently materializes the raw values.
-      AppendU32(directory, kTypeInt64);
-      const uint64_t offset = AlignPayload8(payload);
-      std::vector<int64_t> values(row_count);
-      bi64->CopyValues(0, static_cast<int64_t>(row_count), values.data());
-      payload.append(reinterpret_cast<const char*>(values.data()),
-                     row_count * sizeof(int64_t));
-      AppendU64(directory, offset);
-    } else if (const auto* bdbl =
-                   dynamic_cast<const BlockedDoubleColumn*>(&column)) {
-      AppendU32(directory, kTypeDouble);
-      const uint64_t offset = AlignPayload8(payload);
-      std::vector<double> values(row_count);
-      bdbl->CopyValues(0, static_cast<int64_t>(row_count), values.data());
-      payload.append(reinterpret_cast<const char*>(values.data()),
-                     row_count * sizeof(double));
-      AppendU64(directory, offset);
-    } else if (const auto* bstr =
-                   dynamic_cast<const BlockedStringColumn*>(&column)) {
-      AppendU32(directory, kTypeString);
-      const uint64_t codes_offset = AlignPayload8(payload);
-      std::vector<int32_t> codes(row_count);
-      bstr->CopyCodes(0, static_cast<int64_t>(row_count), codes.data());
-      payload.append(reinterpret_cast<const char*>(codes.data()),
-                     row_count * sizeof(int32_t));
-      const uint64_t offsets_offset = AlignPayload8(payload);
-      uint64_t blob_length = 0;
-      const int64_t dict_count = bstr->dictionary_size();
-      for (int64_t i = 0; i < dict_count; ++i) {
-        AppendU64(payload, blob_length);
-        blob_length += bstr->DictionaryEntry(static_cast<int32_t>(i)).size();
-      }
-      AppendU64(payload, blob_length);
-      const uint64_t blob_offset = kHeaderBytes + payload.size();
-      for (int64_t i = 0; i < dict_count; ++i) {
-        payload.append(bstr->DictionaryEntry(static_cast<int32_t>(i)));
-      }
-      AppendU64(directory, codes_offset);
-      AppendU64(directory, static_cast<uint64_t>(dict_count));
-      AppendU64(directory, offsets_offset);
-      AppendU64(directory, blob_offset);
-      AppendU64(directory, blob_length);
-    } else {
-      NDV_CHECK_MSG(false, "SerializePack: unsupported column class (%s)",
-                    std::string(ColumnTypeName(column.type())).c_str());
-    }
-  }
-
-  const uint64_t directory_offset = AlignPayload8(payload);
-
-  std::string out;
-  out.reserve(kHeaderBytes + payload.size() + directory.size() +
-              kTrailerBytes);
-  out.append(kPackMagic);
-  AppendU32(out, kPackVersion);
-  AppendU32(out, static_cast<uint32_t>(table.NumColumns()));
-  AppendU64(out, row_count);
-  AppendU64(out, directory_offset);
-  AppendU64(out, directory.size());
-  NDV_CHECK_EQ(out.size(), kHeaderBytes);
-  out.append(payload);
-  out.append(directory);
-  AppendU64(out, PackChecksum({reinterpret_cast<const uint8_t*>(out.data()),
-                               out.size()}));
-  return out;
+  return head.starts_with(kPackV1Magic) || StartsWithPackV2Magic(head);
 }
 
 Status WritePackFile(const Table& table, const std::string& path) {
-  // Default format: v2 with auto codec selection, streamed through the
-  // bounded-memory writer (which carries its own temp + fsync + rename).
+  // Streamed through the bounded-memory writer, which carries its own
+  // temp + fsync + rename.
   return WritePackFileV2(table, path);
-}
-
-Status WritePackFileV1(const Table& table, const std::string& path) {
-  // Write-temp + fsync + rename (common/file_io.h): a reader — or a crash
-  // mid-write — never observes a half-written pack at `path`; it sees the
-  // old file or the new one, both with intact trailers.
-  return AtomicWriteFile(path, SerializePack(table));
-}
-
-// --------------------------------------------------------------------------
-// Reader.
-
-namespace {
-
-// Validates one payload blob claim: `count` elements of `elem_bytes` each,
-// starting at file offset `offset` with `alignment`, inside
-// [kHeaderBytes, payload_end). All arithmetic is overflow-safe.
-Status CheckBlob(uint64_t offset, uint64_t count, uint64_t elem_bytes,
-                 uint64_t alignment, uint64_t payload_end, const char* what) {
-  if (offset < kHeaderBytes || offset > payload_end) {
-    return DataLossError("%s offset %llu outside payload [%llu, %llu)", what,
-                         static_cast<unsigned long long>(offset),
-                         static_cast<unsigned long long>(kHeaderBytes),
-                         static_cast<unsigned long long>(payload_end));
-  }
-  if (offset % alignment != 0) {
-    return DataLossError("%s offset %llu not %llu-byte aligned", what,
-                         static_cast<unsigned long long>(offset),
-                         static_cast<unsigned long long>(alignment));
-  }
-  if (elem_bytes != 0 && count > (payload_end - offset) / elem_bytes) {
-    return DataLossError("%s overruns payload: %llu x %llu bytes at %llu",
-                         what, static_cast<unsigned long long>(count),
-                         static_cast<unsigned long long>(elem_bytes),
-                         static_cast<unsigned long long>(offset));
-  }
-  return Status::Ok();
-}
-
-}  // namespace
-
-StatusOr<PackView> ParsePack(std::span<const uint8_t> bytes) {
-  // Alignment of the buffer itself is the caller's contract (mmap pages and
-  // malloc'd blocks both satisfy it); a violation is a programming error,
-  // not bad input.
-  NDV_CHECK(bytes.empty() ||
-            reinterpret_cast<uintptr_t>(bytes.data()) % 8 == 0);
-
-  if (bytes.size() < kHeaderBytes + kTrailerBytes) {
-    return DataLossError("truncated pack: %zu bytes < minimum %llu",
-                         bytes.size(),
-                         static_cast<unsigned long long>(kHeaderBytes +
-                                                         kTrailerBytes));
-  }
-  if (!StartsWithPackMagic(
-          {reinterpret_cast<const char*>(bytes.data()), bytes.size()})) {
-    return InvalidArgumentError("not an ndvpack file (bad magic)");
-  }
-
-  uint64_t stored_checksum;
-  std::memcpy(&stored_checksum, bytes.data() + bytes.size() - kTrailerBytes,
-              sizeof(stored_checksum));
-  const uint64_t actual_checksum =
-      PackChecksum(bytes.subspan(0, bytes.size() - kTrailerBytes));
-  if (stored_checksum != actual_checksum) {
-    return DataLossError("checksum mismatch: stored %016llx, computed %016llx",
-                         static_cast<unsigned long long>(stored_checksum),
-                         static_cast<unsigned long long>(actual_checksum));
-  }
-
-  ByteReader header(bytes.subspan(kPackMagic.size()));
-  uint32_t version, column_count;
-  uint64_t row_count, directory_offset, directory_length;
-  // The cursor-advancing reads live outside the macro: a contract
-  // condition must be effect-free (ndv-check-macro-side-effects).
-  const bool header_complete =
-      header.ReadU32(&version) && header.ReadU32(&column_count) &&
-      header.ReadU64(&row_count) && header.ReadU64(&directory_offset) &&
-      header.ReadU64(&directory_length);
-  NDV_CHECK(header_complete);
-  if (version != kPackVersion) {
-    return InvalidArgumentError("unsupported pack version %u (have %u)",
-                                version, kPackVersion);
-  }
-
-  const uint64_t payload_end = bytes.size() - kTrailerBytes;
-  if (directory_offset < kHeaderBytes || directory_offset > payload_end ||
-      directory_length > payload_end - directory_offset) {
-    return DataLossError(
-        "directory [%llu, +%llu) outside payload [%llu, %llu)",
-        static_cast<unsigned long long>(directory_offset),
-        static_cast<unsigned long long>(directory_length),
-        static_cast<unsigned long long>(kHeaderBytes),
-        static_cast<unsigned long long>(payload_end));
-  }
-
-  PackView view;
-  view.row_count = row_count;
-  view.columns.reserve(std::min<uint64_t>(column_count, 1024));
-  ByteReader dir(bytes.subspan(directory_offset, directory_length));
-  const auto* base = bytes.data();
-
-  for (uint32_t c = 0; c < column_count; ++c) {
-    PackColumnView column;
-    uint32_t name_length, type;
-    if (!dir.ReadU32(&name_length) ||
-        !dir.ReadString(name_length, &column.name) || !dir.ReadU32(&type)) {
-      return DataLossError("directory truncated in column %u of %u", c,
-                           column_count);
-    }
-    switch (type) {
-      case kTypeInt64:
-      case kTypeDouble: {
-        uint64_t offset;
-        if (!dir.ReadU64(&offset)) {
-          return DataLossError("directory truncated in column %u of %u", c,
-                               column_count);
-        }
-        NDV_RETURN_IF_ERROR(CheckBlob(offset, row_count, 8, 8, payload_end,
-                                      "values"));
-        if (type == kTypeInt64) {
-          column.type = ColumnType::kInt64;
-          column.int64_values = {
-              reinterpret_cast<const int64_t*>(base + offset), row_count};
-        } else {
-          column.type = ColumnType::kDouble;
-          column.double_values = {
-              reinterpret_cast<const double*>(base + offset), row_count};
-        }
-        break;
-      }
-      case kTypeString: {
-        column.type = ColumnType::kString;
-        uint64_t codes_offset, dict_count, offsets_offset, blob_offset,
-            blob_length;
-        if (!dir.ReadU64(&codes_offset) || !dir.ReadU64(&dict_count) ||
-            !dir.ReadU64(&offsets_offset) || !dir.ReadU64(&blob_offset) ||
-            !dir.ReadU64(&blob_length)) {
-          return DataLossError("directory truncated in column %u of %u", c,
-                               column_count);
-        }
-        if (dict_count >
-            static_cast<uint64_t>(std::numeric_limits<int32_t>::max())) {
-          return DataLossError("dictionary of %llu entries exceeds int32 "
-                               "code space",
-                               static_cast<unsigned long long>(dict_count));
-        }
-        NDV_RETURN_IF_ERROR(
-            CheckBlob(codes_offset, row_count, 4, 4, payload_end, "codes"));
-        NDV_RETURN_IF_ERROR(CheckBlob(offsets_offset, dict_count + 1, 8, 8,
-                                      payload_end, "dict offsets"));
-        NDV_RETURN_IF_ERROR(
-            CheckBlob(blob_offset, blob_length, 1, 1, payload_end,
-                      "dict blob"));
-
-        column.codes = {reinterpret_cast<const int32_t*>(base + codes_offset),
-                        row_count};
-        column.dict_offsets = {
-            reinterpret_cast<const uint64_t*>(base + offsets_offset),
-            dict_count + 1};
-        column.dict_blob = reinterpret_cast<const char*>(base + blob_offset);
-        column.dict_count = dict_count;
-
-        if (column.dict_offsets.front() != 0 ||
-            column.dict_offsets.back() != blob_length) {
-          return DataLossError(
-              "dict offsets of '%.*s' do not span the blob",
-              static_cast<int>(column.name.size()), column.name.data());
-        }
-        for (uint64_t i = 0; i < dict_count; ++i) {
-          if (column.dict_offsets[i] > column.dict_offsets[i + 1]) {
-            return DataLossError(
-                "dict offsets of '%.*s' decrease at entry %llu",
-                static_cast<int>(column.name.size()), column.name.data(),
-                static_cast<unsigned long long>(i));
-          }
-        }
-        const auto dict_limit = static_cast<int32_t>(dict_count);
-        for (uint64_t row = 0; row < row_count; ++row) {
-          const int32_t code = column.codes[row];
-          if (code < 0 || code >= dict_limit) {
-            return DataLossError(
-                "code %ld at row %llu of '%.*s' outside dictionary of %llu",
-                static_cast<long>(code),
-                static_cast<unsigned long long>(row),
-                static_cast<int>(column.name.size()), column.name.data(),
-                static_cast<unsigned long long>(dict_count));
-          }
-        }
-        break;
-      }
-      default:
-        return DataLossError("column %u of %u has unknown type %u", c,
-                             column_count, type);
-    }
-    view.columns.push_back(column);
-  }
-
-  if (dir.Remaining() != 0) {
-    return DataLossError("%zu trailing bytes after the last directory entry",
-                         dir.Remaining());
-  }
-  return view;
-}
-
-Table TableFromPack(const PackView& view, std::shared_ptr<const void> owner) {
-  Table table;
-  for (const PackColumnView& column : view.columns) {
-    std::unique_ptr<Column> built;
-    switch (column.type) {
-      case ColumnType::kInt64:
-        built = std::make_unique<MappedInt64Column>(column.int64_values,
-                                                    owner);
-        break;
-      case ColumnType::kDouble:
-        built = std::make_unique<MappedDoubleColumn>(column.double_values,
-                                                     owner);
-        break;
-      case ColumnType::kString:
-        built = std::make_unique<MappedStringColumn>(
-            column.codes, column.dict_offsets, column.dict_blob, owner);
-        break;
-    }
-    NDV_CHECK(built != nullptr);
-    table.AddColumn(std::string(column.name), std::move(built));
-  }
-  return table;
 }
 
 StatusOr<Table> OpenPackFile(const std::string& path) {
   auto file = MappedFile::Open(path);
   if (!file.ok()) return file.status();
-  // Both parsers checksum the whole image front to back before any column
+  // The parser checksums the whole image front to back before any column
   // materializes — announce the one-pass read so the kernel streams it.
   (*file)->AdviseSequential(0, (*file)->size());
   const std::span<const uint8_t> bytes = (*file)->bytes();
-  if (StartsWithPackV2Magic(
-          {reinterpret_cast<const char*>(bytes.data()), bytes.size()})) {
-    auto table = OpenPackV2FromBytes(bytes, *std::move(file));
-    if (!table.ok()) {
-      return Status(table.status().code(),
-                    path + ": " + table.status().message());
-    }
-    return table;
+  auto table = OpenPackV2FromBytes(bytes, *std::move(file));
+  if (!table.ok()) {
+    return Status(table.status().code(),
+                  path + ": " + table.status().message());
   }
-  auto view = ParsePack(bytes);
-  if (!view.ok()) {
-    return Status(view.status().code(),
-                  path + ": " + view.status().message());
-  }
-  return TableFromPack(*view, *std::move(file));
+  return table;
 }
 
 }  // namespace ndv

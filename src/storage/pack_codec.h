@@ -46,6 +46,9 @@ enum class PackBlockCodec : uint8_t {
 // --- v2 file-level constants (layout in storage/pack_writer.h). -----------
 
 inline constexpr std::string_view kPackV2Magic = "NDVPACK2";
+// Magic of the removed v1 format (whole-column arrays). The parser still
+// recognizes it, to reject such files with an error that names them.
+inline constexpr std::string_view kPackV1Magic = "NDVPACK1";
 inline constexpr uint32_t kPackV2Version = 2;
 // 48 bytes of header fields plus the 8-byte header checksum; the payload
 // stream starts here (8-aligned by construction).
@@ -80,8 +83,7 @@ const char* PackBlockCodecName(PackBlockCodec codec);
 // Incremental version of the pack trailer checksum, so the streaming
 // writer never needs the whole file in memory: Hash64-folds the stream 8
 // LE bytes at a time (zero-padded tail), then folds the total length at
-// Finish(). (v1 seeds with the length instead, which forces two passes;
-// the v2 trailer uses this end-folded variant.)
+// Finish(), so no pass needs the length up front.
 class PackChecksummer {
  public:
   void Append(std::string_view bytes);

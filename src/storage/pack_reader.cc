@@ -19,8 +19,7 @@ constexpr uint32_t kTypeInt64 = 0;
 constexpr uint32_t kTypeDouble = 1;
 constexpr uint32_t kTypeString = 2;
 
-// Bounds-checked cursor over untrusted directory bytes (same shape as the
-// v1 parser's).
+// Bounds-checked cursor over untrusted directory bytes.
 class ByteReader {
  public:
   explicit ByteReader(std::span<const uint8_t> bytes) : bytes_(bytes) {}
@@ -77,14 +76,19 @@ StatusOr<PackV2Info> ParsePackV2(std::span<const uint8_t> bytes) {
   NDV_CHECK(bytes.empty() ||
             reinterpret_cast<uintptr_t>(bytes.data()) % 8 == 0);
 
+  const std::string_view head(reinterpret_cast<const char*>(bytes.data()),
+                              bytes.size());
+  if (head.starts_with(kPackV1Magic)) {
+    return InvalidArgumentError(
+        "ndvpack v1 is unsupported; repack the source data as v2");
+  }
   const uint64_t min_bytes = kPackV2HeaderBytes + kPackV2TrailerBytes;
   if (bytes.size() < min_bytes) {
     return DataLossError("truncated pack: %zu bytes < minimum %llu",
                          bytes.size(),
                          static_cast<unsigned long long>(min_bytes));
   }
-  if (!StartsWithPackV2Magic(
-          {reinterpret_cast<const char*>(bytes.data()), bytes.size()})) {
+  if (!StartsWithPackV2Magic(head)) {
     return InvalidArgumentError("not an ndvpack v2 file (bad magic)");
   }
 
@@ -329,8 +333,7 @@ StatusOr<PackV2Info> ParsePackV2(std::span<const uint8_t> bytes) {
 }  // namespace
 
 bool StartsWithPackV2Magic(std::string_view head) {
-  return head.size() >= kPackV2Magic.size() &&
-         head.substr(0, kPackV2Magic.size()) == kPackV2Magic;
+  return head.starts_with(kPackV2Magic);
 }
 
 StatusOr<PackV2Info> InspectPackV2(std::span<const uint8_t> bytes) {

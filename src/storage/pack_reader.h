@@ -17,14 +17,14 @@ namespace ndv {
 // ndvpack v2 reader: validating parser + block-granular table opener
 // (layout in storage/pack_writer.h, codecs in storage/pack_codec.h).
 //
-// Like the v1 parser, everything is validated before a single column
-// materializes — header + trailer checksums, every directory field, every
-// block's structure, every dictionary code — so the hot decode paths carry
-// no data-dependent checks and malformed input always yields a typed
-// Status (fuzz/fuzz_ndvpack_v2.cc holds that line). Unlike v1, opening
-// does NOT decode any data: raw blocks alias the mapping and compressed
-// blocks decode lazily per block, so a sampled scan touches only the
-// blocks Algorithm L lands on.
+// Everything is validated before a single column materializes — header
+// + trailer checksums, every directory field, every block's structure,
+// every dictionary code — so the hot decode paths carry no data-dependent
+// checks and malformed input always yields a typed Status
+// (fuzz/fuzz_ndvpack_v2.cc holds that line). Opening does NOT decode any
+// data: raw blocks alias the mapping and compressed blocks decode lazily
+// per block, so a sampled scan touches only the blocks Algorithm L lands
+// on.
 
 // Per-block metadata, exposed for the verifier tool and tests.
 struct PackV2BlockInfo {
@@ -46,7 +46,7 @@ struct PackV2ColumnInfo {
   uint64_t dict_blob_length = 0;
 
   // Encoded bytes of this column in the file (blocks + dictionary), and
-  // what the same data costs in v1-style raw encoding — the verifier's
+  // what the same data costs uncompressed — the verifier's
   // per-column compression ratio.
   uint64_t packed_bytes = 0;
   uint64_t raw_bytes = 0;
@@ -64,7 +64,8 @@ bool StartsWithPackV2Magic(std::string_view head);
 
 // Parses and fully validates one v2 image, returning its metadata. The
 // name views index into `bytes` and share its lifetime. `bytes.data()`
-// must be 8-aligned (mmap / malloc buffers both are).
+// must be 8-aligned (mmap / malloc buffers both are). An image with the v1
+// magic fails with InvalidArgument naming ndvpack v1 as unsupported.
 StatusOr<PackV2Info> InspectPackV2(std::span<const uint8_t> bytes);
 
 // Validates `bytes` and builds a Table of blocked columns over it. Every

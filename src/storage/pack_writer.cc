@@ -12,7 +12,6 @@
 #include "common/check.h"
 #include "common/file_io.h"
 #include "storage/blocked_column.h"
-#include "storage/mapped_column.h"
 
 namespace ndv {
 
@@ -454,10 +453,6 @@ Status AppendTableColumn(PackWriter& writer, const Table& table, int64_t c) {
       if (const auto* heap = dynamic_cast<const Int64Column*>(&column)) {
         return writer.AppendInt64s(heap->values());
       }
-      if (const auto* mapped =
-              dynamic_cast<const MappedInt64Column*>(&column)) {
-        return writer.AppendInt64s(mapped->values());
-      }
       if (const auto* blocked =
               dynamic_cast<const BlockedInt64Column*>(&column)) {
         std::vector<int64_t> chunk(static_cast<size_t>(
@@ -475,10 +470,6 @@ Status AppendTableColumn(PackWriter& writer, const Table& table, int64_t c) {
     case ColumnType::kDouble: {
       if (const auto* heap = dynamic_cast<const DoubleColumn*>(&column)) {
         return writer.AppendDoubles(heap->values());
-      }
-      if (const auto* mapped =
-              dynamic_cast<const MappedDoubleColumn*>(&column)) {
-        return writer.AppendDoubles(mapped->values());
       }
       if (const auto* blocked =
               dynamic_cast<const BlockedDoubleColumn*>(&column)) {
@@ -500,14 +491,6 @@ Status AppendTableColumn(PackWriter& writer, const Table& table, int64_t c) {
         for (const int32_t code : heap->codes()) {
           NDV_RETURN_IF_ERROR(
               writer.AppendString(dict[static_cast<size_t>(code)]));
-        }
-        return Status::Ok();
-      }
-      if (const auto* mapped =
-              dynamic_cast<const MappedStringColumn*>(&column)) {
-        for (const int32_t code : mapped->codes()) {
-          NDV_RETURN_IF_ERROR(
-              writer.AppendString(mapped->DictionaryEntry(code)));
         }
         return Status::Ok();
       }

@@ -16,8 +16,7 @@
 
 namespace ndv {
 
-// Streaming ndvpack v2 writer (DESIGN.md §15). Where the v1 serializer
-// builds the whole image in one string, PackWriter emits the file
+// Streaming ndvpack v2 writer (DESIGN.md §15). PackWriter emits the file
 // incrementally — one codec'd block (block_rows values) at a time — so a
 // table far larger than RAM packs in O(block + dictionary) memory. The
 // column directory and both checksums are finalized at close; the file
@@ -167,8 +166,8 @@ class PackWriter {
 };
 
 // Streams every row of table column `c` into `writer` in bounded chunks.
-// Accepts heap, mapped (v1), and blocked (v2) columns, so repacking never
-// materializes a full column. Caller brackets with StartColumn /
+// Accepts heap and blocked columns, so repacking never materializes a full
+// column. Caller brackets with StartColumn /
 // FinishColumn.
 [[nodiscard]] Status AppendTableColumn(PackWriter& writer, const Table& table,
                                        int64_t c);

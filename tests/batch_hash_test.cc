@@ -272,7 +272,7 @@ TEST(BlockedBatchHashTest, EveryCodecMatchesHashAt) {
   }
 }
 
-TEST(BlockedBatchHashTest, SampledProfileDoesNotDependOnGatherOrder) {
+TEST(BlockedBatchHashTest, SampleProfileDoesNotDependOnGatherOrder) {
   const Table heap = MakeHeapTable();
   for (const PackCodecChoice codec :
        {PackCodecChoice::kForceRaw, PackCodecChoice::kForceDelta,

@@ -7,6 +7,7 @@
 #include <cstring>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -14,7 +15,8 @@
 #include "common/random.h"
 #include "sample/block_sampler.h"
 #include "sample/samplers.h"
-#include "storage/ndvpack.h"
+#include "storage/pack_reader.h"
+#include "storage/pack_writer.h"
 #include "table/column.h"
 #include "table/table.h"
 
@@ -115,18 +117,24 @@ TEST(BlockSamplerTest, AllColumnTypes) {
   }
 }
 
-TEST(BlockSamplerTest, MappedColumnsEqualHeapColumns) {
+TEST(BlockSamplerTest, RawBlockedColumnsEqualHeapColumns) {
   // The distributed workers' invariant: the same reservoir comes out of a
-  // heap column and its mmap-format twin.
+  // heap column and its pack twin. Raw blocks alias the image in place;
+  // 512-row pack blocks make the sampler's blocks straddle pack blocks.
   Table heap;
   heap.AddColumn("i", MakeInts(5000, 13));
-  const std::string bytes = SerializePack(heap);
-  std::vector<uint64_t> aligned((bytes.size() + 7) / 8);
-  std::memcpy(aligned.data(), bytes.data(), bytes.size());
-  const auto view = ParsePack(
-      {reinterpret_cast<const uint8_t*>(aligned.data()), bytes.size()});
-  ASSERT_TRUE(view.ok()) << view.status().ToString();
-  const Table mapped = TableFromPack(*view, nullptr);
+  PackWriteOptions write;
+  write.codec = PackCodecChoice::kForceRaw;
+  write.block_rows = 512;
+  const std::string bytes = SerializePackV2(heap, write);
+  auto aligned = std::make_shared<std::vector<uint64_t>>((bytes.size() + 7) /
+                                                         8);
+  std::memcpy(aligned->data(), bytes.data(), bytes.size());
+  auto opened = OpenPackV2FromBytes(
+      {reinterpret_cast<const uint8_t*>(aligned->data()), bytes.size()},
+      aligned);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  const Table mapped = *std::move(opened);
 
   for (const int64_t block_rows : {1, 64, 4096}) {
     BlockSampleOptions options;

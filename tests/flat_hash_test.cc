@@ -1,7 +1,6 @@
 #include "common/flat_hash.h"
 
 #include <cstdint>
-#include <limits>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -237,74 +236,6 @@ TEST(FlatHashCounterTest, PeakCapacityOutlivesFinalSize) {
   EXPECT_EQ(counter.PeakCapacity(), counter.Capacity());
   EXPECT_GT(counter.PeakCapacity(), counter.size());
   EXPECT_GT(counter.MemoryBytes(), 0);
-}
-
-TEST(FlatHashCounterTest, MergeFromSumsPerKeyCounts) {
-  FlatHashCounter a;
-  FlatHashCounter b;
-  // NOLINTNEXTLINE(ndv-no-std-hash-container): independent oracle —
-  // the test differentially checks FlatHash against the std container.
-  std::unordered_map<uint64_t, int64_t> oracle;
-  Rng rng(29);
-  for (int i = 0; i < 10000; ++i) {
-    // Overlapping key space so plenty of keys exist in both counters.
-    const uint64_t key = rng.NextBounded(1024) * 0x9e3779b97f4a7c15ULL;
-    const int64_t delta = 1 + static_cast<int64_t>(rng.NextBounded(4));
-    (i % 2 == 0 ? a : b).Add(key, delta);
-    oracle[key] += delta;
-  }
-  // The zero key lives out of line in both tables; it must merge too.
-  a.Add(0, 3);
-  b.Add(0, 4);
-  oracle[0] += 7;
-  a.MergeFrom(b);
-  EXPECT_EQ(a.size(), static_cast<int64_t>(oracle.size()));
-  for (const auto& [key, count] : oracle) {
-    EXPECT_EQ(a.Count(key), count);
-  }
-}
-
-TEST(FlatHashCounterTest, MergeFromEmptyIsNoop) {
-  FlatHashCounter a;
-  a.Add(5, 2);
-  const FlatHashCounter empty;
-  a.MergeFrom(empty);
-  EXPECT_EQ(a.size(), 1);
-  EXPECT_EQ(a.Count(5), 2);
-  FlatHashCounter b;
-  b.MergeFrom(a);  // merging into an empty counter copies the contents
-  EXPECT_EQ(b.Count(5), 2);
-}
-
-TEST(FlatHashCounterDeathTest, MergeFromOverflowFailsLoudly) {
-  // Long-lived incremental profiles merge deltas forever; a per-key sum
-  // past int64_t must NDV_CHECK, not wrap into a negative count.
-  FlatHashCounter a;
-  a.Add(42, std::numeric_limits<int64_t>::max() - 1);
-  FlatHashCounter b;
-  b.Add(42, 2);
-  EXPECT_DEATH(a.MergeFrom(b), "would overflow");
-}
-
-TEST(FlatHashCounterDeathTest, MergeFromZeroKeyOverflowFailsLoudly) {
-  // The zero key's count is stored out of line; the saturation guard must
-  // cover it as well.
-  FlatHashCounter a;
-  a.Add(0, std::numeric_limits<int64_t>::max());
-  FlatHashCounter b;
-  b.Add(0, 1);
-  EXPECT_DEATH(a.MergeFrom(b), "would overflow");
-}
-
-TEST(FlatHashCounterTest, MergeFromAtExactSaturationBoundary) {
-  // Summing to exactly int64_t max is legal; one more is not (covered by
-  // the death tests above).
-  FlatHashCounter a;
-  a.Add(7, std::numeric_limits<int64_t>::max() - 5);
-  FlatHashCounter b;
-  b.Add(7, 5);
-  a.MergeFrom(b);
-  EXPECT_EQ(a.Count(7), std::numeric_limits<int64_t>::max());
 }
 
 TEST(FlatHashCounterTest, EmptyCounter) {

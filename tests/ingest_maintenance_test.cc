@@ -200,6 +200,35 @@ TEST(StatsMaintainerTest, FirstPublicationEstablishesBaseline) {
   EXPECT_EQ(maintainer.counters().drift_fires, 0);
 }
 
+TEST(StatsMaintainerTest, EmptyAppendToBornEmptyColumnPublishesNothing) {
+  // Regression: a zero-row Track followed by an empty batch used to abort
+  // in the reservoir snapshot ("no rows observed yet").
+  ConcurrentStatsCatalog catalog(OneColumnCatalog("other", 10.0, 20.0));
+  StatsMaintainer maintainer(
+      &catalog,
+      []() -> StatusOr<StatsCatalog> { return StatsCatalog{}; },
+      SyncOptions());
+  const Int64Column empty(std::vector<int64_t>{});
+  maintainer.Track("born_empty", FullColumnSlice(empty));
+  const uint64_t before = catalog.epoch();
+
+  EXPECT_EQ(maintainer.AppendHashes("born_empty", {}), before);
+  EXPECT_EQ(maintainer.Append("born_empty", FullColumnSlice(empty)), before);
+  EXPECT_EQ(catalog.epoch(), before);
+  EXPECT_FALSE(catalog.Find("born_empty").has_value());
+  EXPECT_EQ(maintainer.counters().appends, 2);
+  EXPECT_EQ(maintainer.counters().publications, 0);
+  EXPECT_EQ(maintainer.Tolerance("born_empty"), kInf);
+
+  // The first real row publishes and becomes the drift baseline.
+  const uint64_t first =
+      maintainer.AppendHashes("born_empty", NovelHashes(11, 10));
+  EXPECT_GT(first, before);
+  ASSERT_TRUE(catalog.Find("born_empty").has_value());
+  EXPECT_EQ(maintainer.counters().publications, 1);
+  EXPECT_EQ(maintainer.Drift("born_empty"), 0.0);
+}
+
 TEST(StatsMaintainerTest, ReanalyzeFailureIsRecordedAndRetriable) {
   ConcurrentStatsCatalog catalog(OneColumnCatalog("c", 100.0, 100.0));
   int64_t calls = 0;

@@ -16,6 +16,7 @@
 
 #include "common/random.h"
 #include "core/all_estimators.h"
+#include "datagen/zipf.h"
 #include "ingest/incremental_stats.h"
 #include "table/column.h"
 
@@ -33,16 +34,6 @@ std::vector<uint64_t> HashStream(uint64_t seed, int64_t count,
   return hashes;
 }
 
-std::vector<std::pair<uint64_t, int64_t>> SortedCounts(
-    const FlatHashCounter& counter) {
-  std::vector<std::pair<uint64_t, int64_t>> entries;
-  counter.ForEach([&](uint64_t key, int64_t count) {
-    entries.emplace_back(key, count);
-  });
-  std::sort(entries.begin(), entries.end());
-  return entries;
-}
-
 std::vector<uint64_t> SortedSample(const IncrementalStats& stats) {
   const auto sample = stats.reservoir().sample();
   std::vector<uint64_t> sorted(sample.begin(), sample.end());
@@ -50,14 +41,12 @@ std::vector<uint64_t> SortedSample(const IncrementalStats& stats) {
   return sorted;
 }
 
-// Every piece of state equal: sketches bit-for-bit, sampled counts, and
-// the reservoir as a multiset (same survivors regardless of feed shape).
+// Every piece of state equal: sketches bit-for-bit and the reservoir as a
+// multiset (same survivors regardless of feed shape).
 void ExpectSameState(const IncrementalStats& a, const IncrementalStats& b) {
   EXPECT_EQ(a.rows(), b.rows());
   EXPECT_EQ(a.hll(), b.hll());
   EXPECT_EQ(a.linear_counting(), b.linear_counting());
-  EXPECT_EQ(SortedCounts(a.sampled_counts()),
-            SortedCounts(b.sampled_counts()));
   EXPECT_EQ(SortedSample(a), SortedSample(b));
 }
 
@@ -113,40 +102,32 @@ TEST(IncrementalStatsTest, AppendBatchMatchesAddHashes) {
             from_hashes.reservoir().sample());
 }
 
-TEST(IncrementalStatsTest, SampledProfileWithZeroBitsIsExact) {
+TEST(IncrementalStatsTest, ReservoirSummaryIsExactBelowCapacity) {
   IncrementalStatsOptions options;
-  options.sample_bits = 0;  // keep every hash: the profile is exact
+  options.reservoir_capacity = 1000;
   IncrementalStats stats(options);
-  const auto hashes = HashStream(2, 20000, 1000);
-  stats.AddHashes(hashes);
-  EXPECT_EQ(stats.SampleRate(), 1.0);
-
-  FlatHashCounter expected;
-  for (uint64_t hash : hashes) expected.Add(hash);
-  EXPECT_EQ(SortedCounts(stats.sampled_counts()), SortedCounts(expected));
-  // The exact profile's multiplicity classes sum back to the stream.
-  const FrequencyProfile profile = stats.SampledProfile();
-  EXPECT_EQ(profile.TotalCount(), 20000);
-  EXPECT_EQ(profile.DistinctValues(), expected.size());
+  for (uint64_t v = 0; v < 100; ++v) {
+    stats.Add(Hash64(v % 25));  // 25 distinct values, 4 copies each
+  }
+  const SampleSummary summary = stats.ReservoirSummary();
+  EXPECT_EQ(summary.r(), 100);  // reservoir not yet full: full visibility
+  EXPECT_EQ(summary.d(), 25);
+  EXPECT_EQ(summary.f(4), 25);
 }
 
-TEST(IncrementalStatsTest, SampledProfileKeepsExactlyTheThresholdedHashes) {
+TEST(IncrementalStatsTest, ReservoirCapacityBoundsSample) {
   IncrementalStatsOptions options;
-  options.sample_bits = 3;  // keep hashes with the top 3 bits zero: 1/8
+  options.reservoir_capacity = 64;
   IncrementalStats stats(options);
-  const auto hashes = HashStream(3, 40000, 8000);
-  stats.AddHashes(hashes);
-  EXPECT_EQ(stats.SampleRate(), 0.125);
+  for (uint64_t v = 0; v < 10000; ++v) stats.Add(Hash64(v));
+  const SampleSummary summary = stats.ReservoirSummary();
+  EXPECT_EQ(summary.r(), 64);
+  EXPECT_EQ(summary.n(), 10000);
+}
 
-  const uint64_t threshold = std::numeric_limits<uint64_t>::max() >> 3;
-  FlatHashCounter expected;
-  for (uint64_t hash : hashes) {
-    if (hash <= threshold) expected.Add(hash);
-  }
-  EXPECT_EQ(SortedCounts(stats.sampled_counts()), SortedCounts(expected));
-  // Membership is a deterministic function of the value, so the sampled
-  // profile's counts are true multiplicities, never partial ones.
-  EXPECT_GT(expected.size(), 0);
+TEST(IncrementalStatsDeathTest, EmptyTrackerRefusesSummary) {
+  IncrementalStats stats(IncrementalStatsOptions{});
+  EXPECT_DEATH(stats.ReservoirSummary(), "no rows");
 }
 
 TEST(IncrementalStatsTest, SketchEstimateTracksTrueCardinality) {
@@ -173,6 +154,33 @@ TEST(IncrementalStatsTest, CombinedEstimateHandsOffToHllWhenLcSaturates) {
   EXPECT_EQ(lc.zero_bits(), 0);
   EXPECT_EQ(CombinedSketchEstimate(hll, lc), hll.Estimate());
   EXPECT_NEAR(CombinedSketchEstimate(hll, lc), 50000.0, 0.05 * 50000.0);
+}
+
+TEST(IncrementalStatsTest, SnapshotEstimateTracksGrowingColumn) {
+  // Stream a uniform column (D = 4000) through the tracker; the snapshot
+  // estimate lands within a factor of two of the truth and the bracket
+  // contains it.
+  ZipfColumnOptions options;
+  options.rows = 200000;
+  options.z = 0.0;
+  options.dup_factor = 50;
+  const auto column = MakeZipfColumn(options);
+  IncrementalStatsOptions tracker;
+  tracker.reservoir_capacity = 8000;
+  tracker.seed = 7;
+  IncrementalStats stats(tracker);
+  stats.AppendBatch(FullColumnSlice(*column));
+
+  const auto estimator = MakeEstimatorByName("AE");
+  ASSERT_NE(estimator, nullptr);
+  const ColumnStats snapshot = stats.Snapshot("col", *estimator);
+  EXPECT_EQ(snapshot.table_rows, 200000);
+  EXPECT_EQ(snapshot.sample_rows, 8000);
+  EXPECT_GT(snapshot.estimate, 4000.0 / 2.0);
+  EXPECT_LT(snapshot.estimate, 4000.0 * 2.0);
+  EXPECT_LE(snapshot.lower, 4000.0);
+  EXPECT_GE(snapshot.upper, 4000.0);
+  EXPECT_EQ(snapshot.method, "AE");
 }
 
 TEST(IncrementalStatsTest, SnapshotEstimateStaysInsideGeeBracket) {
@@ -213,6 +221,78 @@ TEST(IncrementalStatsTest, DriftSemantics) {
   const auto bad = stats.IsStaleOrStatus(-1.0);
   ASSERT_FALSE(bad.ok());
   EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument);
+}
+
+// A bad threshold must not crash a long-running server: IsStale clamps
+// NaN, zero and negative values to 0 ("any append is stale").
+TEST(IncrementalStatsTest, IsStaleClampsBadThresholdInsteadOfAborting) {
+  IncrementalStats stats(IncrementalStatsOptions{});
+  stats.AddHashes(HashStream(7, 100, 1000));
+  stats.MarkFresh();
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  // No appends since the baseline: still fresh under the clamp.
+  for (const double bad : {0.0, -1.0, kNaN}) {
+    EXPECT_FALSE(stats.IsStale(bad)) << bad;
+  }
+  // One append past the baseline flips every clamped threshold to stale,
+  // while a sane threshold still tolerates the 1% growth.
+  stats.Add(Hash64(12345));
+  for (const double bad : {0.0, -1.0, kNaN}) {
+    EXPECT_TRUE(stats.IsStale(bad)) << bad;
+  }
+  EXPECT_FALSE(stats.IsStale(0.2));
+}
+
+TEST(IncrementalStatsTest, IsStaleOrStatusRejectsBadThreshold) {
+  IncrementalStats stats(IncrementalStatsOptions{});
+  stats.AddHashes(HashStream(8, 100, 1000));
+  stats.MarkFresh();
+  for (const double bad : {0.0, -0.5, std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity()}) {
+    const auto result = stats.IsStaleOrStatus(bad);
+    ASSERT_FALSE(result.ok()) << bad;
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  }
+  const auto fresh = stats.IsStaleOrStatus(0.2);
+  ASSERT_TRUE(fresh.ok());
+  EXPECT_FALSE(*fresh);
+  stats.AddHashes(HashStream(9, 50, 1000));
+  const auto stale = stats.IsStaleOrStatus(0.2);
+  ASSERT_TRUE(stale.ok());
+  EXPECT_TRUE(*stale);
+}
+
+TEST(IncrementalStatsTest, MarkFreshAtZeroRowsMakesAnyGrowthStale) {
+  IncrementalStats stats(IncrementalStatsOptions{});
+  // Never marked fresh: stale at any threshold.
+  EXPECT_TRUE(stats.IsStale(1000.0));
+  // A baseline over an empty column holds only until the first append
+  // (no divide-by-zero on the empty baseline).
+  stats.MarkFresh();
+  EXPECT_EQ(stats.rows_at_fresh(), 0);
+  EXPECT_FALSE(stats.IsStale(0.2));
+  stats.Add(Hash64(1));
+  EXPECT_TRUE(stats.IsStale(0.2));
+  EXPECT_TRUE(stats.IsStale(1e9));
+}
+
+TEST(IncrementalStatsTest, MarkFreshResetsBaseline) {
+  IncrementalStats stats(IncrementalStatsOptions{});
+  stats.AddHashes(HashStream(10, 1000, 5000));
+  stats.MarkFresh();
+  EXPECT_EQ(stats.rows_at_fresh(), 1000);
+  // +10% rows: fresh at a 20% threshold, stale at 5%.
+  stats.AddHashes(HashStream(11, 100, 5000));
+  EXPECT_FALSE(stats.IsStale(0.2));
+  EXPECT_TRUE(stats.IsStale(0.05));
+  // +30% in total: stale at 20% too.
+  stats.AddHashes(HashStream(12, 200, 5000));
+  EXPECT_TRUE(stats.IsStale(0.2));
+  // A new baseline makes the column fresh again and zeroes the drift.
+  stats.MarkFresh();
+  EXPECT_EQ(stats.rows_at_fresh(), 1300);
+  EXPECT_FALSE(stats.IsStale(0.2));
+  EXPECT_EQ(stats.DriftSinceFresh(), 0.0);
 }
 
 TEST(PartitionedIngestTest, BitIdenticalAcrossThreadCounts) {
@@ -289,8 +369,6 @@ TEST(MergeIncrementalStatsTest, AnyArrivalOrderMergesBitIdentically) {
     EXPECT_EQ(merged[i].hll, merged[0].hll);
     EXPECT_EQ(merged[i].linear_counting, merged[0].linear_counting);
     EXPECT_EQ(merged[i].sample, merged[0].sample);
-    EXPECT_EQ(SortedCounts(merged[i].sampled_counts),
-              SortedCounts(merged[0].sampled_counts));
   }
 }
 
@@ -312,12 +390,10 @@ TEST(MergeIncrementalStatsTest, MergedSketchesEqualSingleStreamBuild) {
   const auto merged = MergeIncrementalStats(views, 3);
   ASSERT_TRUE(merged.ok());
   EXPECT_EQ(merged->rows, single.rows());
-  // Sketches and the sampled profile are order-independent: the merge is
-  // bit-identical to one tracker that saw the concatenated stream.
+  // Sketches are order-independent: the merge is bit-identical to one
+  // tracker that saw the concatenated stream.
   EXPECT_EQ(merged->hll, single.hll());
   EXPECT_EQ(merged->linear_counting, single.linear_counting());
-  EXPECT_EQ(SortedCounts(merged->sampled_counts),
-            SortedCounts(single.sampled_counts()));
   // The merged reservoir is a fresh uniform draw, not the single-stream
   // one — but it has the same size and its summary brackets GEE.
   EXPECT_EQ(static_cast<int64_t>(merged->sample.size()),

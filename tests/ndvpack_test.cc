@@ -1,22 +1,24 @@
-// The ndvpack storage layer's contract: a packed table is the same table.
-// CSV -> pack -> mmap columns must equal the heap columns value-for-value
-// and hash-for-hash (including NaN / -0.0 canonicalization and strings
-// with embedded quotes/newlines), AnalyzeTable over mapped columns must be
-// thread-count invariant and bit-identical to the heap path, and the
-// deserializer must reject every corruption with a Status, never a crash.
+// The file-level ndvpack entry points (storage/ndvpack.h and the
+// transparent loader): a packed table is the same table. CSV -> pack ->
+// open must equal the heap columns value-for-value and hash-for-hash
+// (including NaN / -0.0 canonicalization and strings with embedded
+// quotes/newlines), AnalyzeTable over the opened columns must be
+// thread-count invariant and bit-identical to the heap path, and a file
+// that is not a pack must fail with a typed Status naming it. Codec,
+// blocking, fixed-point and corruption cases live in pack_v2_test.cc.
 
-#include <cmath>
 #include <cstdint>
-#include <cstring>
+#include <cstdio>
 #include <limits>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "catalog/stats_catalog.h"
-#include "storage/mapped_column.h"
+#include "common/random.h"
 #include "storage/ndvpack.h"
 #include "storage/table_loader.h"
 #include "table/csv.h"
@@ -24,27 +26,6 @@
 
 namespace ndv {
 namespace {
-
-// Copies serialized bytes into an 8-byte-aligned buffer (ParsePack's
-// alignment contract) and keeps them alive for the returned views.
-class AlignedImage {
- public:
-  explicit AlignedImage(const std::string& bytes)
-      : words_((bytes.size() + 7) / 8) {
-    if (!bytes.empty()) {
-      std::memcpy(words_.data(), bytes.data(), bytes.size());
-    }
-    size_ = bytes.size();
-  }
-
-  std::span<const uint8_t> bytes() const {
-    return {reinterpret_cast<const uint8_t*>(words_.data()), size_};
-  }
-
- private:
-  std::vector<uint64_t> words_;
-  size_t size_ = 0;
-};
 
 Table MakeMixedTable() {
   Table table;
@@ -90,32 +71,24 @@ std::string TempPath(const std::string& name) {
   return testing::TempDir() + "/" + name;
 }
 
-TEST(NdvPackTest, MixedTableRoundTripsThroughBuffer) {
-  const Table table = MakeMixedTable();
-  const std::string bytes = SerializePack(table);
-  const AlignedImage image(bytes);
-
-  const auto view = ParsePack(image.bytes());
-  ASSERT_TRUE(view.ok()) << view.status().ToString();
-  EXPECT_EQ(view->row_count, 7u);
-  ASSERT_EQ(view->columns.size(), 3u);
-
-  const Table mapped = TableFromPack(*view, nullptr);
-  ExpectTablesEqual(table, mapped);
+// Pack -> open through the file entry points. Zero-row columns are
+// covered by PackV2Test.EmptyAndSingleRowTablesRoundTrip, the repack
+// fixed point by PackV2Test.RepackIsAFixedPoint.
+Table WriteAndOpen(const Table& table, const std::string& name) {
+  const std::string path = TempPath(name);
+  const Status written = WritePackFile(table, path);
+  EXPECT_TRUE(written.ok()) << written.ToString();
+  auto opened = OpenPackFile(path);
+  EXPECT_TRUE(opened.ok()) << opened.status().ToString();
+  return opened.ok() ? *std::move(opened) : Table();
 }
 
-TEST(NdvPackTest, SerializeIsAFixedPoint) {
+TEST(NdvPackTest, MixedTableRoundTripsThroughFile) {
   const Table table = MakeMixedTable();
-  const std::string first = SerializePack(table);
-  const AlignedImage image(first);
-  const auto view = ParsePack(image.bytes());
-  ASSERT_TRUE(view.ok()) << view.status().ToString();
-  // Repacking the mapped columns reproduces the image byte-for-byte.
-  const std::string second = SerializePack(TableFromPack(*view, nullptr));
-  EXPECT_EQ(first, second);
+  ExpectTablesEqual(table, WriteAndOpen(table, "mixed.ndvpack"));
 }
 
-TEST(NdvPackTest, CsvToPackToMmapEqualsHeapColumns) {
+TEST(NdvPackTest, CsvToPackToOpenEqualsHeapColumns) {
   // Quoted fields, embedded commas, quotes, and newlines all survive the
   // CSV -> heap -> pack -> mmap pipeline.
   const std::string csv =
@@ -140,31 +113,12 @@ TEST(NdvPackTest, CsvToPackToMmapEqualsHeapColumns) {
 
 TEST(NdvPackTest, EmptyTableRoundTrips) {
   const Table empty;
-  const std::string bytes = SerializePack(empty);
-  const AlignedImage image(bytes);
-  const auto view = ParsePack(image.bytes());
-  ASSERT_TRUE(view.ok()) << view.status().ToString();
-  EXPECT_EQ(view->row_count, 0u);
-  EXPECT_TRUE(view->columns.empty());
-  EXPECT_EQ(TableFromPack(*view, nullptr).NumRows(), 0);
+  const Table opened = WriteAndOpen(empty, "empty.ndvpack");
+  EXPECT_EQ(opened.NumRows(), 0);
+  EXPECT_EQ(opened.NumColumns(), 0);
 }
 
-TEST(NdvPackTest, ZeroRowColumnsRoundTrip) {
-  Table table;
-  table.AddColumn("i", std::make_unique<Int64Column>(std::vector<int64_t>{}));
-  table.AddColumn("s", std::make_unique<StringColumn>(
-                           std::vector<std::string>{}));
-  const std::string bytes = SerializePack(table);
-  const AlignedImage image(bytes);
-  const auto view = ParsePack(image.bytes());
-  ASSERT_TRUE(view.ok()) << view.status().ToString();
-  const Table mapped = TableFromPack(*view, nullptr);
-  EXPECT_EQ(mapped.NumRows(), 0);
-  EXPECT_EQ(mapped.NumColumns(), 2);
-  ExpectTablesEqual(table, mapped);
-}
-
-TEST(NdvPackTest, AnalyzeTableBitIdenticalHeapVsMappedAtAnyThreadCount) {
+TEST(NdvPackTest, AnalyzeTableBitIdenticalHeapVsPackAtAnyThreadCount) {
   // A larger synthetic table so sampling actually exercises the columns.
   std::vector<int64_t> ints;
   std::vector<double> doubles;
@@ -205,16 +159,13 @@ TEST(NdvPackTest, AnalyzeTableBitIdenticalHeapVsMappedAtAnyThreadCount) {
 
 TEST(NdvPackTest, ExactDistinctMatchesAcrossStorage) {
   const Table table = MakeMixedTable();
-  const std::string bytes = SerializePack(table);
-  const AlignedImage image(bytes);
-  const auto view = ParsePack(image.bytes());
-  ASSERT_TRUE(view.ok());
-  const Table mapped = TableFromPack(*view, nullptr);
+  const Table packed = WriteAndOpen(table, "exact_distinct.ndvpack");
+  ASSERT_EQ(packed.NumColumns(), table.NumColumns());
   for (int64_t c = 0; c < table.NumColumns(); ++c) {
     EXPECT_EQ(ExactDistinctHashSet(table.column(c)),
-              ExactDistinctHashSet(mapped.column(c)));
+              ExactDistinctHashSet(packed.column(c)));
     EXPECT_EQ(ExactDistinctSorted(table.column(c)),
-              ExactDistinctSorted(mapped.column(c)));
+              ExactDistinctSorted(packed.column(c)));
   }
 }
 
@@ -246,61 +197,20 @@ TEST(NdvPackTest, LoadTableAutoDetectsBothFormats) {
   EXPECT_EQ(missing.status().code(), StatusCode::kNotFound);
 }
 
-// ------------------------------------------------------------------------
-// Rejection: every corruption yields a Status, never a crash or over-read.
-
-std::string ValidImage() { return SerializePack(MakeMixedTable()); }
-
-StatusCode ParseCodeOf(const std::string& bytes) {
-  const AlignedImage image(bytes);
-  const auto view = ParsePack(image.bytes());
-  return view.ok() ? StatusCode::kOk : view.status().code();
-}
-
-TEST(NdvPackRejectTest, BadMagic) {
-  std::string bytes = ValidImage();
-  bytes[0] = 'X';
-  EXPECT_EQ(ParseCodeOf(bytes), StatusCode::kInvalidArgument);
-}
-
-TEST(NdvPackRejectTest, TruncationAtEveryBoundary) {
-  const std::string bytes = ValidImage();
-  for (const size_t keep :
-       {size_t{0}, size_t{7}, size_t{39}, size_t{47}, bytes.size() / 2,
-        bytes.size() - 9, bytes.size() - 1}) {
-    const StatusCode code = ParseCodeOf(bytes.substr(0, keep));
-    EXPECT_NE(code, StatusCode::kOk) << "kept " << keep << " bytes";
-  }
-}
-
-TEST(NdvPackRejectTest, EveryByteFlipIsRejectedOrHarmless) {
-  // The trailing checksum makes any single-byte corruption detectable.
-  const std::string bytes = ValidImage();
-  for (size_t i = 0; i < bytes.size(); ++i) {
-    std::string mutated = bytes;
-    mutated[i] = static_cast<char>(mutated[i] ^ 0x41);
-    EXPECT_NE(ParseCodeOf(mutated), StatusCode::kOk) << "flip at byte " << i;
-  }
-}
-
-TEST(NdvPackRejectTest, UnsupportedVersion) {
-  std::string bytes = ValidImage();
-  bytes[8] = 2;  // version field
-  // Re-stamp the checksum so the version check is what fires.
-  const uint64_t sum = PackChecksum(
-      {reinterpret_cast<const uint8_t*>(bytes.data()), bytes.size() - 8});
-  std::memcpy(bytes.data() + bytes.size() - 8, &sum, 8);
-  EXPECT_EQ(ParseCodeOf(bytes), StatusCode::kInvalidArgument);
-}
-
-TEST(NdvPackRejectTest, NotAPackFileThroughOpen) {
+// Byte-level corruption and truncation are covered by
+// PackV2Test.EverySingleByteCorruptionIsRejected, and legacy v1 files by
+// PackV2Test.V1FilesAreRejectedByMagic.
+TEST(NdvPackTest, NotAPackFileThroughOpen) {
   const std::string path = TempPath("not_a_pack.ndvpack");
   FILE* f = fopen(path.c_str(), "wb");
   ASSERT_NE(f, nullptr);
-  fputs("NDVPACK1 but then garbage", f);
+  fputs("id,label\n1,this is a CSV file that carries a pack extension\n"
+        "2,but no pack magic in its first eight bytes\n",
+        f);
   fclose(f);
   const auto opened = OpenPackFile(path);
   ASSERT_FALSE(opened.ok());
+  EXPECT_EQ(opened.status().code(), StatusCode::kInvalidArgument);
   // The error names the path for the operator.
   EXPECT_NE(opened.status().message().find(path), std::string::npos);
 }

@@ -2,10 +2,11 @@
 // table. Heap -> v2 -> blocked columns must equal the heap columns
 // value-for-value and hash-for-hash (including NaN / -0.0 and multi-block
 // columns with short tails), the streaming file writer must emit the same
-// bytes as the in-memory writer under any append chunking, v1 packs must
-// keep loading through the same entry points, sampling and ANALYZE over
-// blocked columns must be bit-identical to heap at every thread count, and
-// the parser must reject every single-byte corruption with a Status.
+// bytes as the in-memory writer under any append chunking, legacy v1 packs
+// must be rejected by magic through every entry point, sampling and
+// ANALYZE over blocked columns must be bit-identical to heap at every
+// thread count, and the parser must reject every single-byte corruption
+// with a Status.
 
 #include <unistd.h>
 
@@ -275,22 +276,50 @@ TEST(PackV2Test, FailedWriteLeavesNoDestinationFile) {
   EXPECT_FALSE(temp.good()) << "failed pack left " << path << ".tmp";
 }
 
-TEST(PackV2Test, V1FilesStillLoadAndRepackToV2) {
-  const Table table = MakeMixedTable(40);
-  const std::string v1_path = TempPath("pack_v2_compat_v1.ndvpack");
-  ASSERT_TRUE(WritePackFileV1(table, v1_path).ok());
+TEST(PackV2Test, V1FilesAreRejectedByMagic) {
+  // A hand-built v1 header: magic, version 1, one column, three rows, and
+  // a directory offset/length, as the removed v1 writer laid them out.
+  std::string v1(kPackV1Magic);
+  const uint32_t version = 1;
+  const uint32_t columns = 1;
+  const uint64_t fields[] = {3, 40, 16};
+  v1.append(reinterpret_cast<const char*>(&version), sizeof(version));
+  v1.append(reinterpret_cast<const char*>(&columns), sizeof(columns));
+  v1.append(reinterpret_cast<const char*>(fields), sizeof(fields));
 
-  auto v1_loaded = LoadTableAuto(v1_path);
-  ASSERT_TRUE(v1_loaded.ok()) << v1_loaded.status().ToString();
-  ExpectTablesEqual(table, *v1_loaded);
+  const auto expect_v1_error = [](const Status& status) {
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+        << status.ToString();
+    EXPECT_NE(status.message().find("ndvpack v1 is unsupported"),
+              std::string::npos)
+        << status.ToString();
+  };
 
-  // Repack the mapped v1 table into v2 through the streaming column
-  // copier, then reopen.
-  const std::string v2_path = TempPath("pack_v2_compat_v2.ndvpack");
-  ASSERT_TRUE(WritePackFileV2(*v1_loaded, v2_path).ok());
-  auto v2_loaded = LoadTableAuto(v2_path);
-  ASSERT_TRUE(v2_loaded.ok()) << v2_loaded.status().ToString();
-  ExpectTablesEqual(table, *v2_loaded);
+  // The header alone and the header with trailing bytes both name v1: the
+  // magic is checked before any length or checksum.
+  for (const std::string& bytes : {v1, v1 + std::string(64, '\0')}) {
+    SCOPED_TRACE(std::to_string(bytes.size()) + " bytes");
+    const AlignedImage image(bytes);
+    const auto info = InspectPackV2(image.bytes());
+    ASSERT_FALSE(info.ok());
+    expect_v1_error(info.status());
+
+    const std::string path = TempPath("pack_v2_legacy_v1.ndvpack");
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    }
+    const auto opened = OpenPackFile(path);
+    ASSERT_FALSE(opened.ok());
+    expect_v1_error(opened.status());
+    EXPECT_NE(opened.status().message().find(path), std::string::npos);
+
+    // The transparent loader routes the file to the pack path by its
+    // magic; it never reaches the CSV parser.
+    const auto loaded = LoadTableAuto(path);
+    ASSERT_FALSE(loaded.ok());
+    expect_v1_error(loaded.status());
+  }
 }
 
 TEST(PackV2Test, CompressesDeltaFriendlyAndLowCardinalityData) {

@@ -20,7 +20,6 @@
 //   ndv_cli generate --kind=zipf --rows=100000 --out=data.ndvpack
 //   ndv_cli pack --in=data.csv --out=data.ndvpack
 //   ndv_cli pack --in=data.csv --out=data.ndvpack --codec=delta
-//   ndv_cli pack --in=data.csv --out=data.ndvpack --v1   # legacy format
 //   ndv_cli estimate --in=data.csv --column=value --fraction=0.01
 //   ndv_cli analyze --in=data.ndvpack --fraction=0.05 --out=stats.ndv
 //   ndv_cli analyze --in=data.csv --threads=8   # or NDV_THREADS=8
@@ -135,18 +134,10 @@ ndv::PackCodecChoice GetCodecFlag(const Flags& flags) {
   return codec;
 }
 
-// Writes `table` as ndvpack honoring --codec and --v1 (legacy format; the
-// two flags are mutually exclusive since v1 has no codec layer).
+// Writes `table` as ndvpack v2 honoring --codec.
 ndv::Status WritePackWithFlags(const ndv::Table& table,
                                const std::string& out_path,
                                const Flags& flags) {
-  const bool v1 = GetFlag(flags, "v1", "false") == "true";
-  if (v1) {
-    if (flags.count("codec") != 0) {
-      Fail("--v1 packs are uncompressed; drop --codec");
-    }
-    return ndv::WritePackFileV1(table, out_path);
-  }
   ndv::PackWriteOptions options;
   options.codec = GetCodecFlag(flags);
   return ndv::WritePackFileV2(table, out_path, options);

@@ -6,14 +6,13 @@
 //   ndv_pack [--codec=auto|raw|delta|dict] <input> <output.ndvpack>
 //       convert CSV (or repack) to ndvpack v2 with the given block codec
 //       policy (default auto)
-//   ndv_pack --v1 <input> <output.ndvpack>
-//       write the legacy v1 (uncompressed) format
 //   ndv_pack --verify <file.ndvpack>
-//       validate header/checksums/columns; for v2, print each column's
-//       block codecs, packed vs raw bytes, and the whole-file ratio
+//       validate header/checksums/columns and print each column's block
+//       codecs, packed vs raw bytes, and the whole-file ratio
 //
 // The input format is auto-detected by content; packing an .ndvpack input
-// rewrites it canonically (useful after hand edits or version migrations).
+// rewrites it canonically (useful after hand edits or a codec change).
+// Legacy v1 packs are rejected with an error naming the format.
 
 #include <cstdint>
 #include <cstdio>
@@ -21,7 +20,6 @@
 #include <string>
 
 #include "storage/mapped_file.h"
-#include "storage/ndvpack.h"
 #include "storage/pack_reader.h"
 #include "storage/pack_writer.h"
 #include "storage/table_loader.h"
@@ -52,8 +50,14 @@ std::string CodecSummary(const ndv::PackV2ColumnInfo& column) {
   return out.empty() ? "none" : out;
 }
 
-int VerifyV2(const std::string& path, const ndv::MappedFile& file) {
-  auto info = ndv::InspectPackV2(file.bytes());
+int Verify(const std::string& path) {
+  auto file = ndv::MappedFile::Open(path);
+  if (!file.ok()) {
+    std::fprintf(stderr, "FAIL %s: %s\n", path.c_str(),
+                 file.status().ToString().c_str());
+    return 1;
+  }
+  auto info = ndv::InspectPackV2((*file)->bytes());
   if (!info.ok()) {
     std::fprintf(stderr, "FAIL %s: %s\n", path.c_str(),
                  info.status().ToString().c_str());
@@ -92,49 +96,16 @@ int VerifyV2(const std::string& path, const ndv::MappedFile& file) {
   return 0;
 }
 
-int Verify(const std::string& path) {
-  // Dispatch on the magic so the v2 report can show per-column codec and
-  // size detail; v1 (and anything else) goes through the plain opener.
-  auto file = ndv::MappedFile::Open(path);
-  if (file.ok()) {
-    const auto bytes = (*file)->bytes();
-    if (ndv::StartsWithPackV2Magic(
-            {reinterpret_cast<const char*>(bytes.data()), bytes.size()})) {
-      return VerifyV2(path, **file);
-    }
-  }
-  auto table = ndv::OpenPackFile(path);
-  if (!table.ok()) {
-    std::fprintf(stderr, "FAIL %s: %s\n", path.c_str(),
-                 table.status().ToString().c_str());
-    return 1;
-  }
-  std::printf("OK %s: v1, %lld rows x %lld columns\n", path.c_str(),
-              static_cast<long long>(table->NumRows()),
-              static_cast<long long>(table->NumColumns()));
-  for (int64_t c = 0; c < table->NumColumns(); ++c) {
-    std::printf("  '%s' %s\n", table->column_name(c).c_str(),
-                std::string(ndv::ColumnTypeName(table->column(c).type()))
-                    .c_str());
-  }
-  return 0;
-}
-
 int Convert(const std::string& in_path, const std::string& out_path,
-            bool v1, ndv::PackCodecChoice codec) {
+            ndv::PackCodecChoice codec) {
   auto table = ndv::LoadTableAuto(in_path);
   if (!table.ok()) {
     std::fprintf(stderr, "error: %s\n", table.status().ToString().c_str());
     return 1;
   }
-  ndv::Status written;
-  if (v1) {
-    written = ndv::WritePackFileV1(*table, out_path);
-  } else {
-    ndv::PackWriteOptions options;
-    options.codec = codec;
-    written = ndv::WritePackFileV2(*table, out_path, options);
-  }
+  ndv::PackWriteOptions options;
+  options.codec = codec;
+  const ndv::Status written = ndv::WritePackFileV2(*table, out_path, options);
   if (!written.ok()) {
     std::fprintf(stderr, "error: %s\n", written.ToString().c_str());
     return 1;
@@ -151,7 +122,6 @@ int Usage() {
       stderr,
       "usage: ndv_pack [--codec=auto|raw|delta|dict] <input> "
       "<output.ndvpack>\n"
-      "       ndv_pack --v1 <input> <output.ndvpack>\n"
       "       ndv_pack --verify <file.ndvpack>\n");
   return 2;
 }
@@ -159,18 +129,12 @@ int Usage() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool v1 = false;
   ndv::PackCodecChoice codec = ndv::PackCodecChoice::kAutoCodec;
   int arg = 1;
   while (arg < argc && std::strncmp(argv[arg], "--", 2) == 0) {
     if (std::strcmp(argv[arg], "--verify") == 0) {
       if (argc - arg != 2) return Usage();
       return Verify(argv[arg + 1]);
-    }
-    if (std::strcmp(argv[arg], "--v1") == 0) {
-      v1 = true;
-      ++arg;
-      continue;
     }
     if (std::strncmp(argv[arg], "--codec=", 8) == 0) {
       if (!ndv::ParsePackCodecChoice(argv[arg] + 8, &codec)) {
@@ -183,5 +147,5 @@ int main(int argc, char** argv) {
     return Usage();
   }
   if (argc - arg != 2) return Usage();
-  return Convert(argv[arg], argv[arg + 1], v1, codec);
+  return Convert(argv[arg], argv[arg + 1], codec);
 }
