@@ -1,7 +1,8 @@
 // Fault-tolerant distributed ANALYZE: a table sharded over several
-// partitions, each worker scanning its shard into a reservoir; the
-// coordinator retries transient failures with exponential backoff, merges
-// the surviving reservoirs into one uniform table-level sample, and — when
+// partitions, each worker drawing a uniform without-replacement sample of
+// its shard; the coordinator retries transient failures with exponential
+// backoff, merges the surviving samples into one uniform table-level
+// sample, and — when
 // partitions are lost for good — degrades gracefully by widening the GEE
 // interval instead of failing, so the reported [LOWER, UPPER] still
 // brackets the true D.

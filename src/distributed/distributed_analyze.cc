@@ -9,7 +9,6 @@
 #include "core/all_estimators.h"
 #include "distributed/retry.h"
 #include "profile/frequency_profile.h"
-#include "sample/block_sampler.h"
 #include "sample/partition_merge.h"
 #include "sample/samplers.h"
 
@@ -38,10 +37,11 @@ RetryPolicy RetryPolicyFrom(const DistributedAnalyzeOptions& options) {
   return policy;
 }
 
-// One worker attempt: simulate the injected fault (if any), then scan the
-// shard [begin, end) of `column` into a reservoir seeded by `rng`. The rng
-// is taken by value: a retry re-runs the identical scan, which is what
-// makes retry-success bit-identical to a fault-free run.
+// One worker attempt: simulate the injected fault (if any), then draw a
+// uniform without-replacement sample of min(capacity, rows) rows from the
+// shard [begin, end) of `column` with `rng`. The rng is taken by value: a
+// retry re-runs the identical draw, which is what makes retry-success
+// bit-identical to a fault-free run.
 StatusOr<WorkerReply> ScanPartitionAttempt(
     const Column& column, int64_t begin, int64_t end, int64_t capacity,
     Rng rng, int partition, int attempt,
@@ -65,22 +65,23 @@ StatusOr<WorkerReply> ScanPartitionAttempt(
     }
   }
 
-  // Block-aligned Algorithm-L scan: the fill phase batch-hashes whole
-  // aligned blocks (sequential reads — what an mmap segment wants), and
-  // the steady state honors the skip schedule so only kept rows are hashed
-  // and only their blocks are ever faulted in. Bit-identical to feeding
-  // every row (skips consume no randomness), but the scan cost drops from
-  // O(rows) to O(capacity * log(rows / capacity)) hash calls.
-  const ReservoirSamplerL reservoir =
-      BlockSampleColumn(column, begin, end, capacity, rng);
+  // Floyd draw, then one gather: blocked columns sort the rows by block
+  // and decode each touched block once (the same path AnalyzeTable's
+  // SummarizeRows takes). The hypergeometric merge accepts any uniform
+  // WOR sample, so the draw order does not matter.
+  const int64_t rows = end - begin;
+  std::vector<int64_t> picks =
+      SampleWithoutReplacementFloyd(rows, std::min(capacity, rows), rng);
+  for (int64_t& row : picks) row += begin;
   WorkerReply reply;
-  reply.sample.population = end - begin;
-  reply.sample.items = reservoir.sample();
+  reply.sample.population = rows;
+  reply.sample.items.resize(picks.size());
+  column.HashRange(picks, reply.sample.items.data());
   reply.checksum = PayloadChecksum(reply.sample.items);
 
   if (fault.kind == FaultKind::kTruncate) {
     // Half the payload never arrives; the stale checksum and the
-    // undersized reservoir are both detectable coordinator-side.
+    // undersized sample are both detectable coordinator-side.
     reply.sample.items.resize(reply.sample.items.size() / 2);
   } else if (fault.kind == FaultKind::kCorrupt) {
     if (reply.sample.items.empty()) {

@@ -19,12 +19,13 @@ namespace ndv {
 // Fault-tolerant distributed ANALYZE — the coordinator/worker shape of
 // "Sampling-based Estimation of the Number of Distinct Values in a
 // Distributed Environment" (Li et al.), built on this library's exact
-// merge of per-partition reservoirs (sample/partition_merge.h).
+// merge of per-partition samples (sample/partition_merge.h).
 //
 // The column is split row-wise into `partitions` contiguous shards. Each
-// worker scans its shard once into a reservoir of capacity `sample_rows`
+// worker draws min(sample_rows, shard rows) rows of its shard uniformly
+// without replacement (Floyd), hashes them in one block-grouped gather,
 // and replies with {population, items, checksum}; the coordinator
-// validates every reply (reservoir large enough to serve any
+// validates every reply (sample large enough to serve any
 // hypergeometric allocation, checksum intact), retries failed or invalid
 // replies with exponential backoff, merges the survivors into one uniform
 // table-level sample, and estimates distinct values from it.
@@ -45,7 +46,7 @@ namespace ndv {
 //    error status.
 //
 // Determinism: per-partition sampling RNGs and the merge RNG are
-// pre-forked sequentially from `seed`, and a retried attempt re-scans with
+// pre-forked sequentially from `seed`, and a retried attempt re-draws with
 // a fresh copy of its partition's RNG. A run whose faults are all
 // recovered by retries is therefore bit-identical to the fault-free run,
 // at any thread count.

@@ -19,7 +19,7 @@ enum class FaultKind {
   kNone = 0,
   kFail,      // worker reports Unavailable without scanning
   kSlow,      // worker takes `delay_ms` (on the injected clock) to respond
-  kTruncate,  // worker returns a reservoir with half its items missing
+  kTruncate,  // worker returns a sample with half its items missing
   kCorrupt,   // worker returns a bit-flipped payload (checksum mismatch)
 };
 

@@ -100,22 +100,18 @@ void GatherByBlock(std::span<const int64_t> rows, int64_t column_rows,
   }
 }
 
-// Bounding byte range of blocks [first, last] (inclusive); the writer lays
-// blocks out in offset order, but computing min/max keeps the advice
-// correct for any validated directory.
-void AdviseBlocks(const std::vector<PackBlockRef>& blocks, size_t first,
-                  size_t last, bool sequential) {
-  const uint8_t* lo = blocks[first].data;
-  const uint8_t* hi = blocks[first].data + blocks[first].length;
-  for (size_t b = first + 1; b <= last; ++b) {
-    lo = std::min(lo, blocks[b].data);
-    hi = std::max(hi, blocks[b].data + blocks[b].length);
+// Declares a sequential read of the bounding byte range of every block; the
+// writer lays blocks out in offset order, but computing min/max keeps the
+// advice correct for any validated directory.
+void AdviseBlocks(const std::vector<PackBlockRef>& blocks) {
+  if (blocks.empty()) return;
+  const uint8_t* lo = blocks.front().data;
+  const uint8_t* hi = blocks.front().data + blocks.front().length;
+  for (const PackBlockRef& block : blocks) {
+    lo = std::min(lo, block.data);
+    hi = std::max(hi, block.data + block.length);
   }
-  if (sequential) {
-    AdviseSequentialRange(lo, static_cast<size_t>(hi - lo));
-  } else {
-    AdviseWillNeedRange(lo, static_cast<size_t>(hi - lo));
-  }
+  AdviseSequentialRange(lo, static_cast<size_t>(hi - lo));
 }
 
 }  // namespace
@@ -217,18 +213,7 @@ void BlockedInt64Column::CopyValues(int64_t begin, int64_t end,
   }
 }
 
-void BlockedInt64Column::PrepareFullScan() const {
-  if (blocks_.empty()) return;
-  AdviseBlocks(blocks_, 0, blocks_.size() - 1, /*sequential=*/true);
-}
-
-void BlockedInt64Column::PrefetchRows(int64_t begin, int64_t end) const {
-  NDV_DCHECK(0 <= begin && begin <= end && end <= rows_);
-  if (begin == end) return;
-  const auto first = static_cast<size_t>(begin / block_rows_);
-  const auto last = static_cast<size_t>((end - 1) / block_rows_);
-  AdviseBlocks(blocks_, first, last, /*sequential=*/false);
-}
+void BlockedInt64Column::PrepareFullScan() const { AdviseBlocks(blocks_); }
 
 // --- BlockedDoubleColumn. --------------------------------------------------
 
@@ -313,18 +298,7 @@ void BlockedDoubleColumn::CopyValues(int64_t begin, int64_t end,
   }
 }
 
-void BlockedDoubleColumn::PrepareFullScan() const {
-  if (blocks_.empty()) return;
-  AdviseBlocks(blocks_, 0, blocks_.size() - 1, /*sequential=*/true);
-}
-
-void BlockedDoubleColumn::PrefetchRows(int64_t begin, int64_t end) const {
-  NDV_DCHECK(0 <= begin && begin <= end && end <= rows_);
-  if (begin == end) return;
-  const auto first = static_cast<size_t>(begin / block_rows_);
-  const auto last = static_cast<size_t>((end - 1) / block_rows_);
-  AdviseBlocks(blocks_, first, last, /*sequential=*/false);
-}
+void BlockedDoubleColumn::PrepareFullScan() const { AdviseBlocks(blocks_); }
 
 // --- BlockedStringColumn. --------------------------------------------------
 
@@ -431,17 +405,6 @@ void BlockedStringColumn::CopyCodes(int64_t begin, int64_t end,
   }
 }
 
-void BlockedStringColumn::PrepareFullScan() const {
-  if (blocks_.empty()) return;
-  AdviseBlocks(blocks_, 0, blocks_.size() - 1, /*sequential=*/true);
-}
-
-void BlockedStringColumn::PrefetchRows(int64_t begin, int64_t end) const {
-  NDV_DCHECK(0 <= begin && begin <= end && end <= rows_);
-  if (begin == end) return;
-  const auto first = static_cast<size_t>(begin / block_rows_);
-  const auto last = static_cast<size_t>((end - 1) / block_rows_);
-  AdviseBlocks(blocks_, first, last, /*sequential=*/false);
-}
+void BlockedStringColumn::PrepareFullScan() const { AdviseBlocks(blocks_); }
 
 }  // namespace ndv

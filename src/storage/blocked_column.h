@@ -63,7 +63,6 @@ class BlockedInt64Column final : public Column {
   void HashSlice(int64_t begin, int64_t end, uint64_t* out) const override;
   std::string ValueToString(int64_t row) const override;
   void PrepareFullScan() const override;
-  void PrefetchRows(int64_t begin, int64_t end) const override;
 
   int64_t ValueAt(int64_t row) const;
   // Decodes rows [begin, end) into `out` (block at a time; bounded
@@ -99,7 +98,6 @@ class BlockedDoubleColumn final : public Column {
   void HashSlice(int64_t begin, int64_t end, uint64_t* out) const override;
   std::string ValueToString(int64_t row) const override;
   void PrepareFullScan() const override;
-  void PrefetchRows(int64_t begin, int64_t end) const override;
 
   double ValueAt(int64_t row) const;
   void CopyValues(int64_t begin, int64_t end, double* out) const;
@@ -131,7 +129,6 @@ class BlockedStringColumn final : public Column {
   void HashSlice(int64_t begin, int64_t end, uint64_t* out) const override;
   std::string ValueToString(int64_t row) const override;
   void PrepareFullScan() const override;
-  void PrefetchRows(int64_t begin, int64_t end) const override;
 
   int64_t dictionary_size() const {
     return static_cast<int64_t>(hashes_.size());

@@ -59,42 +59,22 @@ MappedFile::~MappedFile() {
   if (data_ != nullptr) ::munmap(data_, size_);
 }
 
-namespace {
+void MappedFile::AdviseSequential(size_t offset, size_t length) const {
+  if (data_ == nullptr || length == 0 || offset >= size_) return;
+  if (length > size_ - offset) length = size_ - offset;
+  AdviseSequentialRange(static_cast<const uint8_t*>(data_) + offset, length);
+}
 
 // Aligns [data, data + length) down to a page boundary and issues the
 // advice; best effort, errors ignored (the range may be heap memory, where
 // the advice is simply meaningless).
-void AdviseRange(const void* data, size_t length, int advice) {
+void AdviseSequentialRange(const void* data, size_t length) {
   if (data == nullptr || length == 0) return;
   const auto page = static_cast<size_t>(::sysconf(_SC_PAGESIZE));
   const auto addr = reinterpret_cast<uintptr_t>(data);
   const uintptr_t begin = (addr / page) * page;
   const size_t span = (addr - begin) + length;
-  ::madvise(reinterpret_cast<void*>(begin), span, advice);
-}
-
-}  // namespace
-
-void MappedFile::Prefetch(size_t offset, size_t length) const {
-  if (data_ == nullptr || length == 0 || offset >= size_) return;
-  if (length > size_ - offset) length = size_ - offset;
-  AdviseRange(static_cast<const uint8_t*>(data_) + offset, length,
-              MADV_WILLNEED);
-}
-
-void MappedFile::AdviseSequential(size_t offset, size_t length) const {
-  if (data_ == nullptr || length == 0 || offset >= size_) return;
-  if (length > size_ - offset) length = size_ - offset;
-  AdviseRange(static_cast<const uint8_t*>(data_) + offset, length,
-              MADV_SEQUENTIAL);
-}
-
-void AdviseSequentialRange(const void* data, size_t length) {
-  AdviseRange(data, length, MADV_SEQUENTIAL);
-}
-
-void AdviseWillNeedRange(const void* data, size_t length) {
-  AdviseRange(data, length, MADV_WILLNEED);
+  ::madvise(reinterpret_cast<void*>(begin), span, MADV_SEQUENTIAL);
 }
 
 StatusOr<std::string> ReadFileToString(const std::string& path) {

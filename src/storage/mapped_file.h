@@ -35,14 +35,10 @@ class MappedFile {
   size_t size() const { return size_; }
   const std::string& path() const { return path_; }
 
-  // Hints the kernel that [offset, offset + length) will be read soon
-  // (madvise WILLNEED). Best-effort: errors are ignored, the hint never
-  // affects correctness. No-op for empty mappings or out-of-range spans.
-  void Prefetch(size_t offset, size_t length) const;
-
   // Hints that [offset, offset + length) is about to be read once, front
   // to back (madvise SEQUENTIAL: aggressive readahead, early reclaim).
-  // Same best-effort contract as Prefetch.
+  // Best-effort: errors are ignored, the hint never affects correctness.
+  // No-op for empty mappings or out-of-range spans.
   void AdviseSequential(size_t offset, size_t length) const;
 
  private:
@@ -54,12 +50,11 @@ class MappedFile {
   size_t size_ = 0;
 };
 
-// Free-standing best-effort madvise hints over an arbitrary readable range
-// (page-aligned internally, errors ignored). Valid on any mapped — or even
-// heap — memory, so column implementations can advise through the raw
+// Free-standing best-effort sequential-read hint over an arbitrary readable
+// range (page-aligned internally, errors ignored). Valid on any mapped — or
+// even heap — memory, so column implementations can advise through the raw
 // pointers they hold without a handle on the MappedFile.
 void AdviseSequentialRange(const void* data, size_t length);
-void AdviseWillNeedRange(const void* data, size_t length);
 
 // Reads the whole file at `path` into one string in a single pass (stat for
 // the size, then read straight into the destination buffer — no

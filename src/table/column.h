@@ -50,14 +50,11 @@ class Column {
   // PrepareFullScan() before hashing.
   std::vector<uint64_t> HashAll() const;
 
-  // Storage-advice hooks; no-ops for heap columns. File-backed columns
-  // translate them into madvise: PrepareFullScan declares that the caller
-  // is about to read every row in order (MADV_SEQUENTIAL — readahead up,
-  // no page retention), PrefetchRows requests async readahead of just the
-  // row range [begin, end) that a sampled scan is about to touch
-  // (MADV_WILLNEED). Purely hints: never affect results.
+  // Storage-advice hook; a no-op for heap columns. File-backed columns
+  // translate it into madvise: the caller is about to read every row in
+  // order (MADV_SEQUENTIAL — readahead up, no page retention). Purely a
+  // hint: never affects results.
   virtual void PrepareFullScan() const {}
-  virtual void PrefetchRows(int64_t /*begin*/, int64_t /*end*/) const {}
 
   // Debug rendering of the value at `row`.
   virtual std::string ValueToString(int64_t row) const = 0;

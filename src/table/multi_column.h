@@ -30,12 +30,9 @@ class CombinedColumn final : public Column {
   void HashRange(std::span<const int64_t> rows, uint64_t* out) const override;
   void HashSlice(int64_t begin, int64_t end, uint64_t* out) const override;
   std::string ValueToString(int64_t row) const override;
-  // Scan advice fans out to every component column.
+  // Full-scan advice fans out to every component column.
   void PrepareFullScan() const override {
     for (const Column* column : columns_) column->PrepareFullScan();
-  }
-  void PrefetchRows(int64_t begin, int64_t end) const override {
-    for (const Column* column : columns_) column->PrefetchRows(begin, end);
   }
 
   int64_t NumComponents() const {

@@ -2,6 +2,7 @@
 
 #include <memory>
 #include <set>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -431,6 +432,32 @@ TEST_F(DistributedAnalyzeTest, DegradedStatsRoundTripThroughCatalog) {
   EXPECT_EQ(stats->coverage, result->stats.coverage);
   EXPECT_TRUE(stats->degraded);
   EXPECT_EQ(stats->upper, result->stats.upper);
+}
+
+// More partitions than rows: five of the eight shards are empty. An empty
+// shard draws an empty sample, which is a valid reply, so every partition
+// counts as scanned and the run covers the whole column.
+TEST_F(DistributedAnalyzeTest, MorePartitionsThanRowsScansEveryShard) {
+  const Int64Column tiny({7, 7, 9});
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    DistributedAnalyzeOptions options = BaseOptions();
+    options.partitions = 8;
+    options.sample_rows = 5;
+    options.threads = threads;
+    auto result = DistributedAnalyze(tiny, "tiny", options);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    ASSERT_EQ(result->outcomes.size(), size_t{8});
+    for (const PartitionOutcome& outcome : result->outcomes) {
+      EXPECT_EQ(outcome.state, PartitionState::kScanned);
+    }
+    EXPECT_EQ(result->coverage, 1.0);
+    EXPECT_FALSE(result->degraded);
+    EXPECT_EQ(result->stats.sample_rows, 3);
+    EXPECT_EQ(result->stats.sample_distinct, 2);
+    EXPECT_LE(result->stats.lower, 2.0);
+    EXPECT_GE(result->stats.upper, 2.0);
+  }
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 // sanity interval — regardless of how pathological the profile is.
 
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -13,7 +14,6 @@
 #include "catalog/stats_catalog.h"
 #include "core/bootstrap_interval.h"
 #include "core/gee.h"
-#include "profile/profile_io.h"
 #include "profile/skew_statistics.h"
 
 namespace ndv {
@@ -102,19 +102,7 @@ TEST(FuzzRobustnessTest, SkewStatisticsAlwaysFinite) {
   }
 }
 
-TEST(FuzzRobustnessTest, SummarySerializationRoundTripsRandomProfiles) {
-  Rng rng(424242);
-  for (int round = 0; round < 500; ++round) {
-    const SampleSummary summary = RandomSummary(rng);
-    const auto parsed = DeserializeSummary(SerializeSummary(summary));
-    ASSERT_TRUE(parsed.has_value());
-    ASSERT_EQ(parsed->freq, summary.freq);
-    ASSERT_EQ(parsed->table_rows, summary.table_rows);
-    ASSERT_EQ(parsed->distinct_rows, summary.distinct_rows);
-  }
-}
-
-TEST(FuzzRobustnessTest, DeserializerSurvivesGarbage) {
+TEST(FuzzRobustnessTest, CatalogDeserializerSurvivesGarbage) {
   // Random byte soup must never crash the parser (nullopt is fine).
   Rng rng(13131313);
   for (int round = 0; round < 2000; ++round) {
@@ -123,15 +111,7 @@ TEST(FuzzRobustnessTest, DeserializerSurvivesGarbage) {
     for (int i = 0; i < len; ++i) {
       garbage += static_cast<char>(rng.NextBounded(256));
     }
-    (void)DeserializeSummary(garbage);
     (void)StatsCatalog::Deserialize(garbage);
-    // Prefix corruption of a valid document.
-    std::string doc = SerializeSummary(RandomSummary(rng));
-    if (!doc.empty()) {
-      doc[rng.NextBounded(doc.size())] =
-          static_cast<char>(rng.NextBounded(256));
-      (void)DeserializeSummary(doc);
-    }
   }
 }
 

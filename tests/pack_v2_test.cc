@@ -3,10 +3,10 @@
 // value-for-value and hash-for-hash (including NaN / -0.0 and multi-block
 // columns with short tails), the streaming file writer must emit the same
 // bytes as the in-memory writer under any append chunking, legacy v1 packs
-// must be rejected by magic through every entry point, sampling and
-// ANALYZE over blocked columns must be bit-identical to heap at every
-// thread count, and the parser must reject every single-byte corruption
-// with a Status.
+// must be rejected by magic through every entry point, sampling, ANALYZE
+// and distributed ANALYZE over blocked columns must be bit-identical to
+// heap at every thread count, and the parser must reject every single-byte
+// corruption with a Status.
 
 #include <unistd.h>
 
@@ -25,7 +25,8 @@
 
 #include "catalog/stats_catalog.h"
 #include "common/check.h"
-#include "sample/block_sampler.h"
+#include "distributed/distributed_analyze.h"
+#include "storage/blocked_column.h"
 #include "storage/ndvpack.h"
 #include "storage/pack_reader.h"
 #include "storage/pack_writer.h"
@@ -424,24 +425,67 @@ TEST(PackV2Test, AnalyzeMatchesHeapAtEveryThreadCount) {
   }
 }
 
-TEST(PackV2Test, BlockSamplerSkipsMatchHeapOverCompressedBlocks) {
-  // Algorithm L's block-skipping scan over lazily decoded blocks must
-  // produce the identical reservoir to the heap column: the discard-run
-  // optimization may not change which blocks' values enter the sample.
+TEST(PackV2Test, DistributedAnalyzeMatchesHeapAndDecodesEachBlockOnce) {
+  // Distributed workers draw rows with Floyd and hash them in one
+  // block-grouped gather: over lazily decoded blocks the result must equal
+  // the heap column's at every thread count, and each worker decodes each
+  // block it touches once.
   const Table heap = MakeMixedTable(20000);
-  PackWriteOptions options;
-  options.block_rows = 256;
-  const AlignedImage image(SerializePackV2(heap, options));
+  PackWriteOptions write;
+  write.block_rows = 256;
+  const AlignedImage image(SerializePackV2(heap, write));
   const Table blocked = OpenV2OrDie(image);
 
-  for (int64_t c = 0; c < heap.NumColumns(); ++c) {
-    SCOPED_TRACE("column " + heap.column_name(c));
-    const ReservoirSamplerL from_heap = BlockSampleColumn(
-        heap.column(c), 0, heap.NumRows(), /*capacity=*/500, Rng(99));
-    const ReservoirSamplerL from_blocked = BlockSampleColumn(
-        blocked.column(c), 0, blocked.NumRows(), /*capacity=*/500, Rng(99));
-    EXPECT_EQ(from_heap.sample(), from_blocked.sample());
+  DistributedAnalyzeOptions options;
+  options.partitions = 8;
+  options.sample_rows = 500;
+  options.seed = 99;
+  for (const int threads : {1, 4}) {
+    options.threads = threads;
+    for (int64_t c = 0; c < heap.NumColumns(); ++c) {
+      SCOPED_TRACE("threads " + std::to_string(threads) + " column " +
+                   heap.column_name(c));
+      auto from_heap =
+          DistributedAnalyze(heap.column(c), heap.column_name(c), options);
+      auto from_blocked = DistributedAnalyze(blocked.column(c),
+                                             blocked.column_name(c), options);
+      ASSERT_TRUE(from_heap.ok()) << from_heap.status().ToString();
+      ASSERT_TRUE(from_blocked.ok()) << from_blocked.status().ToString();
+      EXPECT_EQ(from_heap->stats.estimate, from_blocked->stats.estimate);
+      EXPECT_EQ(from_heap->stats.lower, from_blocked->stats.lower);
+      EXPECT_EQ(from_heap->stats.upper, from_blocked->stats.upper);
+      EXPECT_EQ(from_heap->stats.sample_rows,
+                from_blocked->stats.sample_rows);
+      EXPECT_EQ(from_heap->stats.sample_distinct,
+                from_blocked->stats.sample_distinct);
+      EXPECT_EQ(from_heap->scanned_bounds.lower,
+                from_blocked->scanned_bounds.lower);
+      EXPECT_EQ(from_heap->scanned_bounds.upper,
+                from_blocked->scanned_bounds.upper);
+      EXPECT_EQ(from_heap->scanned_bounds.estimate,
+                from_blocked->scanned_bounds.estimate);
+    }
   }
+
+  // One thread runs the partitions in order through one decode cache. A
+  // shard decodes each block it touches once; only a block straddling two
+  // shards can be decoded twice, so the bound is blocks + partitions - 1.
+  write.codec = PackCodecChoice::kForceDelta;
+  const AlignedImage delta_image(SerializePackV2(heap, write));
+  const Table delta = OpenV2OrDie(delta_image);
+  const auto* ints =
+      dynamic_cast<const BlockedInt64Column*>(&delta.column(0));
+  ASSERT_NE(ints, nullptr);
+  const auto& blocks = ints->blocks();
+  ASSERT_TRUE(std::any_of(blocks.begin(), blocks.end(),
+                          [](const PackBlockRef& block) {
+                            return block.codec != PackBlockCodec::kRaw;
+                          }));
+  options.threads = 1;
+  const int64_t before = BlockDecodeCount();
+  ASSERT_TRUE(DistributedAnalyze(*ints, "ints", options).ok());
+  EXPECT_LE(BlockDecodeCount() - before,
+            static_cast<int64_t>(blocks.size()) + options.partitions - 1);
 }
 
 }  // namespace
