@@ -19,9 +19,7 @@
 //   * ratio error of every published estimate against the by-construction
 //     true distinct count, plus bracket-containment violations (must be 0);
 //   * the drift trace: per-batch drift vs tolerance, where the trigger
-//     fired, and how many full re-ANALYZEs it scheduled;
-//   * determinism: the same append stream ingested partition-parallel at
-//     1 and 4 threads must merge to bit-identical sketches and samples.
+//     fired, and how many full re-ANALYZEs it scheduled.
 //
 //   ./build/bench/micro_incremental --rows=1000000 --batch-rows=1000
 //       --batches=64 --out=BENCH_incremental.json
@@ -298,36 +296,6 @@ int main(int argc, char** argv) {
               static_cast<long long>(counters.reanalyzes),
               maintainer.Drift("value"), maintainer.Tolerance("value"));
 
-  // ---- Determinism: the whole append stream ingested partition-parallel
-  // at different thread counts must merge bit-identically.
-  ndv::IncrementalStatsOptions ingest_options;
-  ingest_options.seed = analyze.seed + 1;
-  const ndv::ColumnSlice whole = ndv::FullColumnSlice(append_column);
-  const auto parts_1t =
-      ndv::PartitionedIngest(whole, ingest_options, 8, /*threads=*/1);
-  const auto parts_4t =
-      ndv::PartitionedIngest(whole, ingest_options, 8, /*threads=*/4);
-  std::vector<const ndv::IncrementalStats*> view_1t, view_4t;
-  for (const auto& p : parts_1t) view_1t.push_back(&p);
-  for (const auto& p : parts_4t) view_4t.push_back(&p);
-  // Reversed arrival order on one side: merge order must not matter.
-  std::reverse(view_4t.begin(), view_4t.end());
-  const auto merged_1t = ndv::MergeIncrementalStats(view_1t, 99);
-  const auto merged_4t = ndv::MergeIncrementalStats(view_4t, 99);
-  if (!merged_1t.ok() || !merged_4t.ok()) {
-    std::fprintf(stderr, "partitioned ingest merge failed\n");
-    return 1;
-  }
-  const bool bit_identical =
-      merged_1t->hll == merged_4t->hll &&
-      merged_1t->linear_counting == merged_4t->linear_counting &&
-      merged_1t->sample == merged_4t->sample &&
-      merged_1t->rows == merged_4t->rows;
-  std::printf("determinism: 8 partitions at 1 vs 4 threads, reversed merge "
-              "order: %s\n",
-              bit_identical ? "bit-identical" : "MISMATCH");
-  if (!bit_identical) return 1;
-
   // ---- JSON report.
   std::string json = "{\n  \"config\": {";
   char buffer[768];
@@ -382,12 +350,6 @@ int main(int argc, char** argv) {
                 static_cast<long long>(counters.reanalyze_failures),
                 static_cast<long long>(first_fire_batch),
                 static_cast<long long>(counters.publications));
-  json.append(buffer);
-  std::snprintf(buffer, sizeof(buffer),
-                ",\n  \"determinism\": {\"partitions\": 8, "
-                "\"threads_compared\": [1, 4], \"reversed_merge_order\": "
-                "true, \"bit_identical\": %s}",
-                bit_identical ? "true" : "false");
   json.append(buffer);
   json.append(",\n  \"trace\": [");
   for (size_t i = 0; i < trace.size(); ++i) {

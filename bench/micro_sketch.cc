@@ -70,19 +70,6 @@ void BM_Kmv(benchmark::State& state) {
 }
 BENCHMARK(BM_Kmv);
 
-void BM_HyperLogLogMerge(benchmark::State& state) {
-  ndv::HyperLogLog a(12);
-  ndv::HyperLogLog b(12);
-  for (uint64_t h : MakeStream(100000, 30000)) a.Add(h);
-  for (uint64_t h : MakeStream(100000, 30000)) b.Add(h);
-  for (auto _ : state) {
-    ndv::HyperLogLog merged = a;
-    merged.Merge(b);
-    benchmark::DoNotOptimize(merged.Estimate());
-  }
-}
-BENCHMARK(BM_HyperLogLogMerge);
-
 }  // namespace
 
 BENCHMARK_MAIN();

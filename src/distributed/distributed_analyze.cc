@@ -105,7 +105,13 @@ Status ValidateReply(const WorkerReply& reply, int64_t target,
   return Status::Ok();
 }
 
-}  // namespace
+// The row range [begin, end) of shard `partition` when `total_rows` rows
+// are split into `partitions` contiguous shards, balanced to within one
+// row.
+struct PartitionRowRange {
+  int64_t begin = 0;
+  int64_t end = 0;
+};
 
 PartitionRowRange PartitionShard(int64_t total_rows, int partitions,
                                  int partition) {
@@ -117,6 +123,8 @@ PartitionRowRange PartitionShard(int64_t total_rows, int partitions,
   range.end = total_rows * (partition + 1) / partitions;
   return range;
 }
+
+}  // namespace
 
 std::string_view PartitionStateName(PartitionState state) {
   switch (state) {

@@ -89,20 +89,6 @@ struct DistributedAnalyzeOptions {
   DurableCatalog* durable = nullptr;
 };
 
-// The row range [begin, end) of shard `partition` when `total_rows` rows
-// are split into `partitions` contiguous shards, balanced to within one
-// row. This is the coordinator's sharding function, exported so other
-// partition-parallel paths (the incremental ingest fan-out) shard a column
-// exactly the way a distributed ANALYZE of the same column would.
-// Requires partitions >= 1 and 0 <= partition < partitions.
-struct PartitionRowRange {
-  int64_t begin = 0;
-  int64_t end = 0;
-  int64_t rows() const { return end - begin; }
-};
-PartitionRowRange PartitionShard(int64_t total_rows, int partitions,
-                                 int partition);
-
 enum class PartitionState {
   kScanned,    // clean success on the first attempt
   kRecovered,  // succeeded after >= 1 retries

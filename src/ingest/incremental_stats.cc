@@ -4,13 +4,11 @@
 #include <cmath>
 #include <limits>
 #include <utility>
+#include <vector>
 
 #include "common/check.h"
 #include "common/random.h"
-#include "common/thread_pool.h"
 #include "core/gee.h"
-#include "distributed/distributed_analyze.h"
-#include "sample/partition_merge.h"
 
 namespace ndv {
 namespace {
@@ -19,21 +17,15 @@ namespace {
 // while keeping the batch kernel's per-call amortization.
 constexpr int64_t kAppendChunkRows = 65536;
 
+// The tracker's sketch geometry: 2^12 HyperLogLog registers and a 2^16-bit
+// linear-counting bitmap. CombinedSketchEstimate's handoff load is
+// calibrated for exactly these sizes.
+constexpr int kHllPrecision = 12;
+constexpr int64_t kLinearCountingBits = int64_t{1} << 16;
+
 // Linear counting beats HyperLogLog while its load factor D/m stays under
 // this; see CombinedSketchEstimate's contract.
 constexpr double kLinearCountingHandoffLoad = 6.0;
-
-void ValidateOptions(const IncrementalStatsOptions& options) {
-  NDV_CHECK_MSG(options.reservoir_capacity >= 1,
-                "reservoir_capacity must be >= 1, got %lld",
-                static_cast<long long>(options.reservoir_capacity));
-  NDV_CHECK_MSG(4 <= options.hll_precision && options.hll_precision <= 18,
-                "hll_precision must be in [4, 18], got %d",
-                options.hll_precision);
-  NDV_CHECK_MSG(options.linear_counting_bits >= 1,
-                "linear_counting_bits must be >= 1, got %lld",
-                static_cast<long long>(options.linear_counting_bits));
-}
 
 SampleSummary SummaryFromSample(int64_t rows,
                                 std::span<const uint64_t> sample) {
@@ -85,15 +77,10 @@ double CombinedSketchEstimate(const HyperLogLog& hll,
   return hll.Estimate();
 }
 
-IncrementalStats::IncrementalStats(const IncrementalStatsOptions& options,
-                                   int partition)
-    : options_(options),
-      partition_(partition),
-      hll_(options.hll_precision),
-      linear_counting_(options.linear_counting_bits),
-      reservoir_(options.reservoir_capacity, Rng(options.seed)) {
-  ValidateOptions(options);
-}
+IncrementalStats::IncrementalStats(const IncrementalStatsOptions& options)
+    : hll_(kHllPrecision),
+      linear_counting_(kLinearCountingBits),
+      reservoir_(options.reservoir_capacity, Rng(options.seed)) {}
 
 void IncrementalStats::Add(uint64_t hash) {
   AddHashes(std::span<const uint64_t>(&hash, 1));
@@ -162,18 +149,6 @@ double IncrementalStats::DriftSinceFresh() const {
   return std::abs(SketchEstimate() - sketch_at_fresh_);
 }
 
-bool IncrementalStats::IsStale(double changed_fraction) const {
-  // A bad knob (NaN, zero, negative) is clamped to 0 — "any append since
-  // the baseline is stale" — instead of aborting: a long-running server
-  // must not crash on a client-supplied threshold.
-  if (!(changed_fraction > 0.0)) changed_fraction = 0.0;
-  if (rows_at_fresh_ < 0) return true;
-  if (rows_at_fresh_ == 0) return rows() > 0;
-  const double changed = static_cast<double>(rows() - rows_at_fresh_) /
-                         static_cast<double>(rows_at_fresh_);
-  return changed > changed_fraction;
-}
-
 StatusOr<bool> IncrementalStats::IsStaleOrStatus(
     double changed_fraction) const {
   if (!std::isfinite(changed_fraction) || changed_fraction <= 0.0) {
@@ -181,103 +156,11 @@ StatusOr<bool> IncrementalStats::IsStaleOrStatus(
         "changed_fraction must be a finite positive number, got %g",
         changed_fraction);
   }
-  return IsStale(changed_fraction);
-}
-
-bool IncrementalStats::MergeCompatible(const IncrementalStats& other) const {
-  return options_.reservoir_capacity == other.options_.reservoir_capacity &&
-         options_.hll_precision == other.options_.hll_precision &&
-         options_.linear_counting_bits ==
-             other.options_.linear_counting_bits;
-}
-
-SampleSummary MergedIncrementalStats::Summary() const {
-  return SummaryFromSample(rows, sample);
-}
-
-ColumnStats MergedIncrementalStats::Snapshot(
-    std::string column_name, const Estimator& estimator) const {
-  return StatsFromSummary(std::move(column_name), Summary(), estimator);
-}
-
-StatusOr<MergedIncrementalStats> MergeIncrementalStats(
-    std::span<const IncrementalStats* const> parts, uint64_t merge_seed) {
-  if (parts.empty()) {
-    return InvalidArgumentError("MergeIncrementalStats: no parts");
-  }
-  // Canonical order: by partition id. Distinct ids make the order total,
-  // so any arrival order of the same parts merges bit-identically.
-  std::vector<const IncrementalStats*> ordered(parts.begin(), parts.end());
-  std::sort(ordered.begin(), ordered.end(),
-            [](const IncrementalStats* a, const IncrementalStats* b) {
-              return a->partition() < b->partition();
-            });
-  for (size_t i = 0; i + 1 < ordered.size(); ++i) {
-    if (ordered[i]->partition() == ordered[i + 1]->partition()) {
-      return InvalidArgumentError(
-          "MergeIncrementalStats: duplicate partition id %d",
-          ordered[i]->partition());
-    }
-  }
-  const IncrementalStats& first = *ordered.front();
-  MergedIncrementalStats merged;
-  merged.hll = first.hll();
-  merged.linear_counting = first.linear_counting();
-  merged.rows = first.rows();
-  std::vector<PartitionSample> reservoirs;
-  reservoirs.reserve(ordered.size());
-  reservoirs.push_back(
-      PartitionSample{first.rows(), first.reservoir().sample()});
-  for (size_t i = 1; i < ordered.size(); ++i) {
-    const IncrementalStats& part = *ordered[i];
-    if (!first.MergeCompatible(part)) {
-      return InvalidArgumentError(
-          "MergeIncrementalStats: partition %d has incompatible geometry",
-          part.partition());
-    }
-    merged.hll.Merge(part.hll());
-    merged.linear_counting.Merge(part.linear_counting());
-    merged.rows += part.rows();
-    reservoirs.push_back(
-        PartitionSample{part.rows(), part.reservoir().sample()});
-  }
-  // Every partition reservoir holds min(capacity, population) items, which
-  // is >= min(target, population) because the capacities are equal — so the
-  // hypergeometric merge's preconditions hold by construction.
-  const int64_t target =
-      std::min(first.options().reservoir_capacity, merged.rows);
-  Rng merge_rng(merge_seed);
-  auto sample = MergePartitionSamplesOrStatus(std::move(reservoirs), target,
-                                              merge_rng);
-  NDV_RETURN_IF_ERROR(sample.status());
-  merged.sample = *std::move(sample);
-  std::sort(merged.sample.begin(), merged.sample.end());
-  return merged;
-}
-
-std::vector<IncrementalStats> PartitionedIngest(
-    const ColumnSlice& slice, const IncrementalStatsOptions& options,
-    int partitions, int threads) {
-  NDV_CHECK_MSG(partitions >= 1, "partitions must be >= 1, got %d",
-                partitions);
-  std::vector<IncrementalStats> shards;
-  shards.reserve(static_cast<size_t>(partitions));
-  for (int p = 0; p < partitions; ++p) {
-    IncrementalStatsOptions shard_options = options;
-    // Seeds derive from (seed, partition), never from the executing
-    // thread, so the build is bit-identical at every thread count.
-    shard_options.seed =
-        Hash64(options.seed + static_cast<uint64_t>(p) + 1);
-    shards.emplace_back(shard_options, p);
-  }
-  ParallelFor(partitions, ResolveThreadCount(threads), [&](int64_t pi) {
-    const int p = static_cast<int>(pi);
-    const auto [begin, end] = PartitionShard(slice.rows(), partitions, p);
-    const ColumnSlice shard{slice.column, slice.begin + begin,
-                            slice.begin + end};
-    shards[static_cast<size_t>(p)].AppendBatch(shard);
-  });
-  return shards;
+  if (rows_at_fresh_ < 0) return true;
+  if (rows_at_fresh_ == 0) return rows() > 0;
+  const double changed = static_cast<double>(rows() - rows_at_fresh_) /
+                         static_cast<double>(rows_at_fresh_);
+  return changed > changed_fraction;
 }
 
 }  // namespace ndv

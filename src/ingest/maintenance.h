@@ -42,15 +42,6 @@ namespace ndv {
 // with appends; it must tolerate that (or use background=false, where it
 // runs inline in the appending thread before Append returns).
 
-// The drift-trigger predicate, exported so its boundary semantics are
-// testable in isolation: fire iff drift strictly exceeds the tolerance
-// (the published interval's width). drift == width does not fire — the
-// running estimate may still sit on the bracket's edge; any positive
-// drift against a zero-width (exact-mode) interval does.
-inline bool DriftTriggerFires(double drift, double tolerance) {
-  return drift > tolerance;
-}
-
 struct StatsMaintainerOptions {
   IncrementalStatsOptions tracker;
   // Estimator for incremental publications. GEE by default: its point

@@ -23,8 +23,7 @@ StatsService::StatsService(std::shared_ptr<const Table> table,
   // counts and sketch registers, so the trackers keep the default
   // IncrementalStatsOptions. The constructor is single-threaded, but
   // trackers_ is guarded state: hold its lock so the warm-up fill lives
-  // inside the declared capability (this was an unlocked write before the
-  // annotations landed).
+  // inside the declared capability.
   {
     MutexLock lock(tracker_mutex_);
     for (int64_t c = 0; c < table_->NumColumns(); ++c) {
@@ -91,11 +90,11 @@ StatusOr<bool> StatsService::ColumnIsStale(const ColumnStats& published) {
   // Rule 2 — interval escape: the tracker's running sketch estimate has
   // moved further from its at-publication baseline than the published
   // [LOWER, UPPER] bracket is wide, which proves the estimate left the
-  // bracket. The width is the tolerance: a wide (low-information)
-  // interval absorbs more drift before forcing a re-ANALYZE than a tight
-  // one. O(1) in the sketch registers — no estimator re-evaluation over
-  // the reservoir on this path.
-  return tracker.DriftSinceFresh() > published.upper - published.lower;
+  // bracket. The same predicate drives StatsMaintainer's drift trigger.
+  // O(1) in the sketch registers — no estimator re-evaluation over the
+  // reservoir on this path.
+  return DriftTriggerFires(tracker.DriftSinceFresh(),
+                           published.upper - published.lower);
 }
 
 Message StatsService::HandleGetStats(const Message& request) {

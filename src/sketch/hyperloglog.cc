@@ -50,13 +50,6 @@ double HyperLogLog::Estimate() const {
   return raw;
 }
 
-void HyperLogLog::Merge(const HyperLogLog& other) {
-  NDV_CHECK(precision_ == other.precision_);
-  for (size_t i = 0; i < registers_.size(); ++i) {
-    registers_[i] = std::max(registers_[i], other.registers_[i]);
-  }
-}
-
 double HyperLogLog::StandardError() const {
   return 1.04 / std::sqrt(static_cast<double>(registers_.size()));
 }

@@ -25,18 +25,6 @@ class HyperLogLog final : public DistinctCounter {
     return static_cast<int64_t>(registers_.size());
   }
 
-  // Merges another sketch with identical precision (register-wise max);
-  // the result estimates the union of the two streams. max is associative,
-  // commutative, and idempotent, so any merge order — and any interleaving
-  // of the underlying streams — yields bit-identical registers.
-  void Merge(const HyperLogLog& other);
-
-  int precision() const { return precision_; }
-
-  // The raw registers; exposed so tests can assert merged sketches are
-  // bit-identical to single-stream construction.
-  const std::vector<uint8_t>& registers() const { return registers_; }
-
   // Member-wise (the abstract base carries no state to compare).
   bool operator==(const HyperLogLog& other) const {
     return precision_ == other.precision_ && registers_ == other.registers_;
@@ -52,7 +40,7 @@ class HyperLogLog final : public DistinctCounter {
 
 // K-minimum-values sketch: keeps the k smallest distinct hashes; with
 // h_(k) the k-th smallest normalized hash, D_hat = (k - 1) / h_(k).
-// Mergeable; relative error ~1 / sqrt(k - 2).
+// Relative error ~1 / sqrt(k - 2).
 class KMinimumValues final : public DistinctCounter {
  public:
   // Requires k >= 3.

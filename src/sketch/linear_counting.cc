@@ -17,11 +17,6 @@ void LinearCounting::Add(uint64_t hash) {
   words_[bit / 64] |= (uint64_t{1} << (bit % 64));
 }
 
-void LinearCounting::Merge(const LinearCounting& other) {
-  NDV_CHECK_EQ(bits_, other.bits_);
-  for (size_t i = 0; i < words_.size(); ++i) words_[i] |= other.words_[i];
-}
-
 int64_t LinearCounting::zero_bits() const {
   int64_t ones = 0;
   for (uint64_t w : words_) ones += std::popcount(w);

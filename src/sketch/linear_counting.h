@@ -27,16 +27,7 @@ class LinearCounting final : public DistinctCounter {
 
   int64_t zero_bits() const;
 
-  // Merges another bitmap of identical size (bitwise OR); the result is
-  // bit-identical to a single sketch fed both streams in any order, so the
-  // merge is associative and commutative. Requires other.bits() == bits().
-  void Merge(const LinearCounting& other);
-
   int64_t bits() const { return bits_; }
-
-  // The raw bitmap words; exposed so tests can assert merged sketches are
-  // bit-identical to single-stream construction.
-  const std::vector<uint64_t>& words() const { return words_; }
 
   // Member-wise (the abstract base carries no state to compare).
   bool operator==(const LinearCounting& other) const {

@@ -1,15 +1,13 @@
-// IncrementalStats: the online ingest tentpole. The load-bearing claims —
-// batch feeds are bit-identical to per-row feeds, partition-parallel
-// builds are bit-identical at every thread count, and partition merges are
-// bit-identical in every arrival order — are asserted on the raw state
-// (registers, bitmap words, reservoir contents), not just on estimates.
+// IncrementalStats: the single-stream append tracker. The load-bearing
+// claim — batch feeds are bit-identical to per-row feeds — is asserted on
+// the raw state (registers, bitmap words, reservoir contents), not just on
+// estimates.
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <limits>
 #include <span>
-#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -203,44 +201,24 @@ TEST(IncrementalStatsTest, DriftSemantics) {
   IncrementalStats stats(IncrementalStatsOptions{});
   // Never marked fresh: infinitely stale, infinite drift.
   EXPECT_TRUE(std::isinf(stats.DriftSinceFresh()));
-  EXPECT_TRUE(stats.IsStale(0.5));
+  EXPECT_TRUE(*stats.IsStaleOrStatus(0.5));
 
   stats.AddHashes(HashStream(5, 10000, 2000));
   stats.MarkFresh();
   EXPECT_EQ(stats.DriftSinceFresh(), 0.0);
   EXPECT_EQ(stats.rows_at_fresh(), 10000);
-  EXPECT_FALSE(stats.IsStale(0.2));
+  EXPECT_FALSE(*stats.IsStaleOrStatus(0.2));
 
   // Appending mostly-new values moves the sketch estimate away from the
   // baseline and trips the volume rule once past the fraction.
   stats.AddHashes(HashStream(6, 5000, 100000));
   EXPECT_GT(stats.DriftSinceFresh(), 0.0);
-  EXPECT_TRUE(stats.IsStale(0.2));   // 50% appended > 20%
-  EXPECT_FALSE(stats.IsStale(0.9));  // but not > 90%
+  EXPECT_TRUE(*stats.IsStaleOrStatus(0.2));   // 50% appended > 20%
+  EXPECT_FALSE(*stats.IsStaleOrStatus(0.9));  // but not > 90%
 
   const auto bad = stats.IsStaleOrStatus(-1.0);
   ASSERT_FALSE(bad.ok());
   EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument);
-}
-
-// A bad threshold must not crash a long-running server: IsStale clamps
-// NaN, zero and negative values to 0 ("any append is stale").
-TEST(IncrementalStatsTest, IsStaleClampsBadThresholdInsteadOfAborting) {
-  IncrementalStats stats(IncrementalStatsOptions{});
-  stats.AddHashes(HashStream(7, 100, 1000));
-  stats.MarkFresh();
-  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
-  // No appends since the baseline: still fresh under the clamp.
-  for (const double bad : {0.0, -1.0, kNaN}) {
-    EXPECT_FALSE(stats.IsStale(bad)) << bad;
-  }
-  // One append past the baseline flips every clamped threshold to stale,
-  // while a sane threshold still tolerates the 1% growth.
-  stats.Add(Hash64(12345));
-  for (const double bad : {0.0, -1.0, kNaN}) {
-    EXPECT_TRUE(stats.IsStale(bad)) << bad;
-  }
-  EXPECT_FALSE(stats.IsStale(0.2));
 }
 
 TEST(IncrementalStatsTest, IsStaleOrStatusRejectsBadThreshold) {
@@ -265,15 +243,15 @@ TEST(IncrementalStatsTest, IsStaleOrStatusRejectsBadThreshold) {
 TEST(IncrementalStatsTest, MarkFreshAtZeroRowsMakesAnyGrowthStale) {
   IncrementalStats stats(IncrementalStatsOptions{});
   // Never marked fresh: stale at any threshold.
-  EXPECT_TRUE(stats.IsStale(1000.0));
+  EXPECT_TRUE(*stats.IsStaleOrStatus(1000.0));
   // A baseline over an empty column holds only until the first append
   // (no divide-by-zero on the empty baseline).
   stats.MarkFresh();
   EXPECT_EQ(stats.rows_at_fresh(), 0);
-  EXPECT_FALSE(stats.IsStale(0.2));
+  EXPECT_FALSE(*stats.IsStaleOrStatus(0.2));
   stats.Add(Hash64(1));
-  EXPECT_TRUE(stats.IsStale(0.2));
-  EXPECT_TRUE(stats.IsStale(1e9));
+  EXPECT_TRUE(*stats.IsStaleOrStatus(0.2));
+  EXPECT_TRUE(*stats.IsStaleOrStatus(1e9));
 }
 
 TEST(IncrementalStatsTest, MarkFreshResetsBaseline) {
@@ -283,166 +261,16 @@ TEST(IncrementalStatsTest, MarkFreshResetsBaseline) {
   EXPECT_EQ(stats.rows_at_fresh(), 1000);
   // +10% rows: fresh at a 20% threshold, stale at 5%.
   stats.AddHashes(HashStream(11, 100, 5000));
-  EXPECT_FALSE(stats.IsStale(0.2));
-  EXPECT_TRUE(stats.IsStale(0.05));
+  EXPECT_FALSE(*stats.IsStaleOrStatus(0.2));
+  EXPECT_TRUE(*stats.IsStaleOrStatus(0.05));
   // +30% in total: stale at 20% too.
   stats.AddHashes(HashStream(12, 200, 5000));
-  EXPECT_TRUE(stats.IsStale(0.2));
+  EXPECT_TRUE(*stats.IsStaleOrStatus(0.2));
   // A new baseline makes the column fresh again and zeroes the drift.
   stats.MarkFresh();
   EXPECT_EQ(stats.rows_at_fresh(), 1300);
-  EXPECT_FALSE(stats.IsStale(0.2));
+  EXPECT_FALSE(*stats.IsStaleOrStatus(0.2));
   EXPECT_EQ(stats.DriftSinceFresh(), 0.0);
-}
-
-TEST(PartitionedIngestTest, BitIdenticalAcrossThreadCounts) {
-  std::vector<int64_t> values;
-  Rng rng(11);
-  for (int i = 0; i < 120000; ++i) {
-    values.push_back(static_cast<int64_t>(rng.NextBounded(9000)));
-  }
-  Int64Column column(values);
-  IncrementalStatsOptions options;
-  options.reservoir_capacity = 300;
-  options.seed = 17;
-  constexpr int kPartitions = 7;
-
-  const auto serial =
-      PartitionedIngest(FullColumnSlice(column), options, kPartitions,
-                        /*threads=*/1);
-  const auto parallel =
-      PartitionedIngest(FullColumnSlice(column), options, kPartitions,
-                        /*threads=*/4);
-  ASSERT_EQ(serial.size(), parallel.size());
-  for (int p = 0; p < kPartitions; ++p) {
-    SCOPED_TRACE(p);
-    EXPECT_EQ(serial[static_cast<size_t>(p)].partition(), p);
-    ExpectSameState(serial[static_cast<size_t>(p)],
-                    parallel[static_cast<size_t>(p)]);
-    EXPECT_EQ(serial[static_cast<size_t>(p)].reservoir().sample(),
-              parallel[static_cast<size_t>(p)].reservoir().sample());
-  }
-
-  // And the two merged results are bit-identical end to end.
-  std::vector<const IncrementalStats*> serial_parts;
-  std::vector<const IncrementalStats*> parallel_parts;
-  for (int p = 0; p < kPartitions; ++p) {
-    serial_parts.push_back(&serial[static_cast<size_t>(p)]);
-    parallel_parts.push_back(&parallel[static_cast<size_t>(p)]);
-  }
-  const auto merged_serial = MergeIncrementalStats(serial_parts, 5);
-  const auto merged_parallel = MergeIncrementalStats(parallel_parts, 5);
-  ASSERT_TRUE(merged_serial.ok());
-  ASSERT_TRUE(merged_parallel.ok());
-  EXPECT_EQ(merged_serial->sample, merged_parallel->sample);
-  EXPECT_EQ(merged_serial->hll, merged_parallel->hll);
-  EXPECT_EQ(merged_serial->linear_counting,
-            merged_parallel->linear_counting);
-}
-
-TEST(MergeIncrementalStatsTest, AnyArrivalOrderMergesBitIdentically) {
-  IncrementalStatsOptions options;
-  options.reservoir_capacity = 200;
-  std::vector<IncrementalStats> parts;
-  for (int p = 0; p < 5; ++p) {
-    IncrementalStatsOptions shard = options;
-    shard.seed = static_cast<uint64_t>(p) + 31;
-    parts.emplace_back(shard, p);
-    parts.back().AddHashes(HashStream(static_cast<uint64_t>(p) + 50,
-                                      8000 + 1000 * p, 3000));
-  }
-
-  const std::vector<std::vector<int>> orders = {
-      {0, 1, 2, 3, 4}, {4, 3, 2, 1, 0}, {2, 0, 4, 1, 3}};
-  std::vector<MergedIncrementalStats> merged;
-  for (const auto& order : orders) {
-    std::vector<const IncrementalStats*> views;
-    for (const int p : order) {
-      views.push_back(&parts[static_cast<size_t>(p)]);
-    }
-    auto result = MergeIncrementalStats(views, /*merge_seed=*/77);
-    ASSERT_TRUE(result.ok());
-    merged.push_back(*std::move(result));
-  }
-  for (size_t i = 1; i < merged.size(); ++i) {
-    EXPECT_EQ(merged[i].rows, merged[0].rows);
-    EXPECT_EQ(merged[i].hll, merged[0].hll);
-    EXPECT_EQ(merged[i].linear_counting, merged[0].linear_counting);
-    EXPECT_EQ(merged[i].sample, merged[0].sample);
-  }
-}
-
-TEST(MergeIncrementalStatsTest, MergedSketchesEqualSingleStreamBuild) {
-  IncrementalStatsOptions options;
-  std::vector<IncrementalStats> parts;
-  IncrementalStats single(options);
-  for (int p = 0; p < 4; ++p) {
-    IncrementalStatsOptions shard = options;
-    shard.seed = static_cast<uint64_t>(p) + 7;
-    parts.emplace_back(shard, p);
-    const auto hashes =
-        HashStream(static_cast<uint64_t>(p) + 90, 12000, 5000);
-    parts[static_cast<size_t>(p)].AddHashes(hashes);
-    single.AddHashes(hashes);
-  }
-  std::vector<const IncrementalStats*> views;
-  for (const auto& part : parts) views.push_back(&part);
-  const auto merged = MergeIncrementalStats(views, 3);
-  ASSERT_TRUE(merged.ok());
-  EXPECT_EQ(merged->rows, single.rows());
-  // Sketches are order-independent: the merge is bit-identical to one
-  // tracker that saw the concatenated stream.
-  EXPECT_EQ(merged->hll, single.hll());
-  EXPECT_EQ(merged->linear_counting, single.linear_counting());
-  // The merged reservoir is a fresh uniform draw, not the single-stream
-  // one — but it has the same size and its summary brackets GEE.
-  EXPECT_EQ(static_cast<int64_t>(merged->sample.size()),
-            options.reservoir_capacity);
-  const auto estimator = MakeEstimatorByName("GEE");
-  const ColumnStats snapshot = merged->Snapshot("value", *estimator);
-  EXPECT_LE(snapshot.lower, snapshot.estimate);
-  EXPECT_GE(snapshot.upper, snapshot.estimate);
-}
-
-TEST(MergeIncrementalStatsTest, SmallPartitionsMergeToFullPopulation) {
-  // Fewer total rows than capacity: the merged sample IS the union.
-  IncrementalStatsOptions options;
-  options.reservoir_capacity = 1000;
-  IncrementalStats a(options, 0);
-  IncrementalStats b(options, 1);
-  a.AddHashes(HashStream(1, 30, 1000000));
-  b.AddHashes(HashStream(2, 40, 1000000));
-  const IncrementalStats* views[] = {&a, &b};
-  const auto merged = MergeIncrementalStats(views, 9);
-  ASSERT_TRUE(merged.ok());
-  EXPECT_EQ(merged->rows, 70);
-  EXPECT_EQ(static_cast<int64_t>(merged->sample.size()), 70);
-}
-
-TEST(MergeIncrementalStatsTest, ErrorPaths) {
-  const auto empty =
-      MergeIncrementalStats(std::span<const IncrementalStats* const>{}, 1);
-  ASSERT_FALSE(empty.ok());
-  EXPECT_EQ(empty.status().code(), StatusCode::kInvalidArgument);
-
-  IncrementalStatsOptions options;
-  IncrementalStats a(options, 3);
-  IncrementalStats b(options, 3);  // duplicate partition id
-  a.Add(1);
-  b.Add(2);
-  const IncrementalStats* duplicate[] = {&a, &b};
-  const auto dup = MergeIncrementalStats(duplicate, 1);
-  ASSERT_FALSE(dup.ok());
-  EXPECT_EQ(dup.status().code(), StatusCode::kInvalidArgument);
-
-  IncrementalStatsOptions other = options;
-  other.hll_precision = 14;  // incompatible sketch geometry
-  IncrementalStats c(other, 4);
-  c.Add(3);
-  const IncrementalStats* incompatible[] = {&a, &c};
-  const auto bad = MergeIncrementalStats(incompatible, 1);
-  ASSERT_FALSE(bad.ok());
-  EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument);
 }
 
 }  // namespace

@@ -13,10 +13,10 @@ namespace {
 
 // Feeds `distinct` distinct hashed values, each `copies` times.
 void FeedDistinct(DistinctCounter& counter, int64_t distinct,
-                  int64_t copies = 1, uint64_t salt = 0) {
+                  int64_t copies = 1) {
   for (int64_t c = 0; c < copies; ++c) {
     for (int64_t i = 0; i < distinct; ++i) {
-      counter.Add(Hash64(static_cast<uint64_t>(i) * 2654435761ULL + salt));
+      counter.Add(Hash64(static_cast<uint64_t>(i) * 2654435761ULL));
     }
   }
 }
@@ -89,31 +89,6 @@ TEST(HyperLogLogTest, SmallRangeCorrectionKicksIn) {
   HyperLogLog counter(12);
   FeedDistinct(counter, 100);
   EXPECT_NEAR(counter.Estimate(), 100.0, 10.0);
-}
-
-TEST(HyperLogLogTest, MergeEstimatesUnion) {
-  HyperLogLog a(12);
-  HyperLogLog b(12);
-  FeedDistinct(a, 20000, 1, /*salt=*/0);
-  FeedDistinct(b, 20000, 1, /*salt=*/1);  // Disjoint values.
-  a.Merge(b);
-  const double tolerance = 4.0 * a.StandardError() * 40000.0;
-  EXPECT_NEAR(a.Estimate(), 40000.0, tolerance);
-}
-
-TEST(HyperLogLogTest, MergeWithSelfIsIdempotent) {
-  HyperLogLog a(10);
-  FeedDistinct(a, 5000);
-  const double before = a.Estimate();
-  HyperLogLog b = a;
-  a.Merge(b);
-  EXPECT_DOUBLE_EQ(a.Estimate(), before);
-}
-
-TEST(HyperLogLogTest, RejectsMismatchedPrecisionMerge) {
-  HyperLogLog a(10);
-  HyperLogLog b(12);
-  EXPECT_DEATH(a.Merge(b), "precision");
 }
 
 TEST(HyperLogLogTest, MemoryIsOneBytePerRegister) {

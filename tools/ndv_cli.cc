@@ -41,14 +41,18 @@
 //     # replay batch.csv as an append stream: per-batch incremental
 //     # publications, drift trigger, inline re-ANALYZE when it fires
 
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <system_error>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -106,21 +110,55 @@ std::string GetFlag(const Flags& flags, const std::string& name,
   return it == flags.end() ? default_value : it->second;
 }
 
+[[noreturn]] void Fail(const std::string& message) {
+  std::fprintf(stderr, "error: %s\n", message.c_str());
+  std::exit(1);
+}
+
+// Parses the whole flag value as a T or fails: "abc" and "12abc" are
+// errors, never an uncaught exception or a silently parsed prefix.
+template <typename T>
+T GetNumber(const Flags& flags, const std::string& name, T default_value) {
+  const auto it = flags.find(name);
+  if (it == flags.end()) return default_value;
+  const std::string& text = it->second;
+  const char* const end = text.data() + text.size();
+  T value{};
+  const auto parsed = std::from_chars(text.data(), end, value);
+  if (parsed.ec != std::errc() || parsed.ptr != end) {
+    Fail("--" + name + " expects a number, got '" + text + "'");
+  }
+  return value;
+}
+
 double GetDouble(const Flags& flags, const std::string& name,
                  double default_value) {
-  const auto it = flags.find(name);
-  return it == flags.end() ? default_value : std::stod(it->second);
+  return GetNumber(flags, name, default_value);
 }
 
 int64_t GetInt(const Flags& flags, const std::string& name,
                int64_t default_value) {
-  const auto it = flags.find(name);
-  return it == flags.end() ? default_value : std::stoll(it->second);
+  return GetNumber(flags, name, default_value);
 }
 
-[[noreturn]] void Fail(const std::string& message) {
-  std::fprintf(stderr, "error: %s\n", message.c_str());
-  std::exit(1);
+// --fraction: a sampling fraction, which must lie in [0, 1].
+double GetFraction(const Flags& flags, double default_value) {
+  const double fraction = GetDouble(flags, "fraction", default_value);
+  if (!(fraction >= 0.0 && fraction <= 1.0)) {
+    Fail("--fraction must be in [0, 1], got '" +
+         GetFlag(flags, "fraction", "") + "'");
+  }
+  return fraction;
+}
+
+// --estimator: must name an estimator MakeEstimatorByName knows.
+std::string GetEstimator(const Flags& flags,
+                         const std::string& default_value) {
+  std::string name = GetFlag(flags, "estimator", default_value);
+  if (ndv::MakeEstimatorByName(name) == nullptr) {
+    Fail("unknown --estimator '" + name + "'");
+  }
+  return name;
 }
 
 // --codec=auto|raw|delta|dict selects the v2 block codec policy for any
@@ -266,11 +304,11 @@ int CmdPack(const Flags& flags) {
 int CmdEstimate(const Flags& flags) {
   const std::string in_path = GetFlag(flags, "in", "");
   if (in_path.empty()) Fail("--in is required");
+  const double fraction = GetFraction(flags, 0.01);
   const ndv::Table table = LoadTable(in_path);
   const std::string column_name =
       GetFlag(flags, "column", table.column_name(0));
   const ndv::Column& column = FindColumnOrDie(table, column_name);
-  const double fraction = GetDouble(flags, "fraction", 0.01);
   const std::string which = GetFlag(flags, "estimator", "paper");
   const bool bootstrap = GetFlag(flags, "bootstrap", "false") == "true";
 
@@ -324,15 +362,15 @@ int CmdEstimate(const Flags& flags) {
 int CmdAnalyze(const Flags& flags) {
   const std::string in_path = GetFlag(flags, "in", "");
   if (in_path.empty()) Fail("--in is required");
-  const ndv::Table table = LoadTable(in_path);
   ndv::AnalyzeOptions options;
-  options.sample_fraction = GetDouble(flags, "fraction", 0.01);
-  options.estimator = GetFlag(flags, "estimator", "AE");
+  options.sample_fraction = GetFraction(flags, 0.01);
+  options.estimator = GetEstimator(flags, "AE");
   options.seed = static_cast<uint64_t>(GetInt(flags, "seed", 1));
   // 0 = auto: DefaultThreadCount(), overridable via NDV_THREADS.
   options.threads = static_cast<int>(GetInt(flags, "threads", 0));
   // --exact: full-scan ground truth (parallel kernel) instead of sampling.
   options.exact = GetFlag(flags, "exact", "false") == "true";
+  const ndv::Table table = LoadTable(in_path);
   const ndv::StatsCatalog catalog = ndv::AnalyzeTable(table, options);
 
   ndv::TextTable result({"column", "estimate", "LOWER", "UPPER", "sampled"});
@@ -516,17 +554,26 @@ int RunServeSelftest(uint16_t port) {
 int CmdServe(const Flags& flags) {
   const std::string in_path = GetFlag(flags, "in", "");
   if (in_path.empty()) Fail("--in is required");
-  auto table = std::make_shared<ndv::Table>(LoadTable(in_path));
 
   ndv::StatsServiceOptions options;
-  options.analyze.sample_fraction = GetDouble(flags, "fraction", 0.01);
-  options.analyze.estimator = GetFlag(flags, "estimator", "AE");
+  options.analyze.sample_fraction = GetFraction(flags, 0.01);
+  options.analyze.estimator = GetEstimator(flags, "AE");
   options.analyze.seed = static_cast<uint64_t>(GetInt(flags, "seed", 1));
   options.analyze.threads = static_cast<int>(GetInt(flags, "threads", 0));
   options.stale_changed_fraction =
       GetDouble(flags, "stale-fraction", 0.2);
-  options.max_inflight =
-      static_cast<int>(GetInt(flags, "max-inflight", 256));
+  if (!std::isfinite(options.stale_changed_fraction) ||
+      options.stale_changed_fraction <= 0.0) {
+    Fail("--stale-fraction must be a finite number > 0, got '" +
+         GetFlag(flags, "stale-fraction", "") + "'");
+  }
+  const int64_t max_inflight = GetInt(flags, "max-inflight", 256);
+  if (max_inflight < 1 || max_inflight > std::numeric_limits<int>::max()) {
+    Fail("--max-inflight must be >= 1 and fit an int, got " +
+         std::to_string(max_inflight));
+  }
+  options.max_inflight = static_cast<int>(max_inflight);
+  auto table = std::make_shared<ndv::Table>(LoadTable(in_path));
 
   // --wal-dir turns on durability: the service opens (and recovers) a
   // durable catalog there, journals every publication, and on restart
@@ -672,21 +719,25 @@ int CmdIngest(const Flags& flags) {
   const std::string append_path = GetFlag(flags, "append", "");
   if (in_path.empty()) Fail("--in is required");
   if (append_path.empty()) Fail("--append is required");
-  const ndv::Table base = LoadTable(in_path);
-  const ndv::Table append = LoadTable(append_path);
   const int64_t batch_rows = GetInt(flags, "batch-rows", 1000);
   if (batch_rows < 1) Fail("--batch-rows must be >= 1");
+  const int64_t reservoir = GetInt(flags, "reservoir", 4096);
+  if (reservoir < 1) {
+    Fail("--reservoir must be >= 1, got " + std::to_string(reservoir));
+  }
+  ndv::AnalyzeOptions analyze;
+  analyze.sample_fraction = GetFraction(flags, 0.05);
+  analyze.estimator = GetEstimator(flags, "GEE");
+  analyze.seed = static_cast<uint64_t>(GetInt(flags, "seed", 1));
+  analyze.threads = static_cast<int>(GetInt(flags, "threads", 0));
+
+  const ndv::Table base = LoadTable(in_path);
+  const ndv::Table append = LoadTable(append_path);
   for (int64_t c = 0; c < base.NumColumns(); ++c) {
     if (append.FindColumn(base.column_name(c)) < 0) {
       Fail("--append has no column '" + base.column_name(c) + "'");
     }
   }
-
-  ndv::AnalyzeOptions analyze;
-  analyze.sample_fraction = GetDouble(flags, "fraction", 0.05);
-  analyze.estimator = GetFlag(flags, "estimator", "GEE");
-  analyze.seed = static_cast<uint64_t>(GetInt(flags, "seed", 1));
-  analyze.threads = static_cast<int>(GetInt(flags, "threads", 0));
 
   // The initial full ANALYZE of the base table is epoch 1 and every
   // column's drift baseline.
@@ -709,7 +760,7 @@ int CmdIngest(const Flags& flags) {
   };
 
   ndv::StatsMaintainerOptions options;
-  options.tracker.reservoir_capacity = GetInt(flags, "reservoir", 4096);
+  options.tracker.reservoir_capacity = reservoir;
   options.tracker.seed = analyze.seed;
   options.estimator = analyze.estimator;
   options.background = false;  // inline re-ANALYZE: deterministic output
