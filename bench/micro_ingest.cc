@@ -14,6 +14,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -116,6 +117,19 @@ void BM_LoadPack(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * kRows);
 }
 BENCHMARK(BM_LoadPack)->Unit(benchmark::kMillisecond);
+
+// The pack checksum alone over the whole fixture image (already mapped and
+// faulted in): the part of BM_LoadPack that scales with the file size.
+void BM_PackChecksum(benchmark::State& state) {
+  const Fixture& fixture = GetFixture();
+  auto file = ndv::MappedFile::Open(fixture.pack_path);
+  NDV_CHECK(file.ok());
+  const std::span<const uint8_t> bytes = (*file)->bytes();
+  for (auto _ : state) benchmark::DoNotOptimize(ndv::PackChecksum(bytes));
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<int64_t>(bytes.size()));
+}
+BENCHMARK(BM_PackChecksum)->Unit(benchmark::kMillisecond);
 
 // --------------------------------------------------------------------------
 // Time-to-first-estimate: load + full ANALYZE of every column. This is the

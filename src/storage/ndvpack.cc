@@ -15,7 +15,8 @@ static_assert(std::endian::native == std::endian::little,
               "ndvpack readers alias little-endian payloads in place");
 
 bool StartsWithPackMagic(std::string_view head) {
-  return head.starts_with(kPackV1Magic) || StartsWithPackV2Magic(head);
+  return head.starts_with(kPackMagic) || head.starts_with(kPackV2Magic) ||
+         head.starts_with(kPackV1Magic);
 }
 
 Status WritePackFile(const Table& table, const std::string& path) {

@@ -43,13 +43,16 @@ enum class PackBlockCodec : uint8_t {
   kDictCodes = 2,
 };
 
-// --- v2 file-level constants (layout in storage/pack_writer.h). -----------
+// --- File-level constants (layout in storage/pack_writer.h). -------------
 
-inline constexpr std::string_view kPackV2Magic = "NDVPACK2";
-// Magic of the removed v1 format (whole-column arrays). The parser still
-// recognizes it, to reject such files with an error that names them.
+// Version 3: the v2 block layout under the lane-parallel PackChecksum.
+inline constexpr std::string_view kPackMagic = "NDVPACK3";
+inline constexpr uint32_t kPackVersion = 3;
+// Magics of the removed formats: v1 (whole-column arrays) and v2 (this
+// layout under a serial checksum). The parser still recognizes them, to
+// reject such files with an error that names them.
 inline constexpr std::string_view kPackV1Magic = "NDVPACK1";
-inline constexpr uint32_t kPackV2Version = 2;
+inline constexpr std::string_view kPackV2Magic = "NDVPACK2";
 // 48 bytes of header fields plus the 8-byte header checksum; the payload
 // stream starts here (8-aligned by construction).
 inline constexpr uint64_t kPackV2HeaderBytes = 56;
@@ -80,26 +83,37 @@ const char* PackBlockCodecName(PackBlockCodec codec);
 
 // --- Streaming checksum. --------------------------------------------------
 
-// Incremental version of the pack trailer checksum, so the streaming
-// writer never needs the whole file in memory: Hash64-folds the stream 8
-// LE bytes at a time (zero-padded tail), then folds the total length at
-// Finish(), so no pass needs the length up front.
+// The pack checksum (header and trailer), streamed so the writer never
+// needs the whole file in memory. Eight independent Hash64 lanes: lane j
+// starts at its own fixed seed and folds word j (8 LE bytes) of every full
+// 64-byte stripe. Finish() folds the lanes in order into one accumulator,
+// then the < 64 leftover bytes 8 at a time (zero-padded last word), then
+// the total length. Every fold is a bijection in the word it folds, so
+// any single-word change always changes the sum; the independent lanes
+// let a core overlap the multiplies of eight words instead of chaining
+// them. Append is chunking-invariant.
 class PackChecksummer {
  public:
+  PackChecksummer();
   void Append(std::string_view bytes);
   // Finalizes over everything appended so far. Idempotent w.r.t. state:
   // does not consume the checksummer.
   uint64_t Finish() const;
 
  private:
-  uint64_t h_ = 0x9e3779b97f4a7c15ULL;
+  static constexpr size_t kLanes = 8;
+  static constexpr size_t kStripeBytes = 8 * kLanes;
+
+  void FoldStripes(const uint8_t* bytes, size_t stripes);
+
+  uint64_t lanes_[kLanes];
   uint64_t total_bytes_ = 0;
-  uint8_t pending_[8] = {};
+  uint8_t pending_[kStripeBytes] = {};
   size_t pending_count_ = 0;
 };
 
-// Convenience: checksum of one contiguous buffer under the v2 scheme.
-uint64_t PackChecksumV2(std::span<const uint8_t> bytes);
+// Convenience: checksum of one contiguous buffer.
+uint64_t PackChecksum(std::span<const uint8_t> bytes);
 
 // --- Block encoding (writer side). ----------------------------------------
 

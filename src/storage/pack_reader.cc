@@ -80,7 +80,11 @@ StatusOr<PackV2Info> ParsePackV2(std::span<const uint8_t> bytes) {
                               bytes.size());
   if (head.starts_with(kPackV1Magic)) {
     return InvalidArgumentError(
-        "ndvpack v1 is unsupported; repack the source data as v2");
+        "ndvpack v1 is unsupported; repack the source data as v3");
+  }
+  if (head.starts_with(kPackV2Magic)) {
+    return InvalidArgumentError(
+        "ndvpack v2 is unsupported; repack the source data as v3");
   }
   const uint64_t min_bytes = kPackV2HeaderBytes + kPackV2TrailerBytes;
   if (bytes.size() < min_bytes) {
@@ -88,8 +92,8 @@ StatusOr<PackV2Info> ParsePackV2(std::span<const uint8_t> bytes) {
                          bytes.size(),
                          static_cast<unsigned long long>(min_bytes));
   }
-  if (!StartsWithPackV2Magic(head)) {
-    return InvalidArgumentError("not an ndvpack v2 file (bad magic)");
+  if (!head.starts_with(kPackMagic)) {
+    return InvalidArgumentError("not an ndvpack file (bad magic)");
   }
 
   // Header checksum covers the 48 field bytes; a flipped bit anywhere in
@@ -98,7 +102,7 @@ StatusOr<PackV2Info> ParsePackV2(std::span<const uint8_t> bytes) {
   uint64_t stored_header_sum;
   std::memcpy(&stored_header_sum, bytes.data() + kPackV2HeaderBytes - 8, 8);
   const uint64_t actual_header_sum =
-      PackChecksumV2(bytes.subspan(0, kPackV2HeaderBytes - 8));
+      PackChecksum(bytes.subspan(0, kPackV2HeaderBytes - 8));
   if (stored_header_sum != actual_header_sum) {
     return DataLossError(
         "header checksum mismatch: stored %016llx, computed %016llx",
@@ -106,7 +110,7 @@ StatusOr<PackV2Info> ParsePackV2(std::span<const uint8_t> bytes) {
         static_cast<unsigned long long>(actual_header_sum));
   }
 
-  ByteReader header(bytes.subspan(kPackV2Magic.size()));
+  ByteReader header(bytes.subspan(kPackMagic.size()));
   uint32_t version, column_count;
   uint64_t row_count, block_rows_u64, directory_offset, directory_length;
   // The cursor-advancing reads live outside the macro: a contract
@@ -117,9 +121,9 @@ StatusOr<PackV2Info> ParsePackV2(std::span<const uint8_t> bytes) {
       header.ReadU64(&directory_offset) &&
       header.ReadU64(&directory_length);
   NDV_CHECK(header_complete);
-  if (version != kPackV2Version) {
+  if (version != kPackVersion) {
     return InvalidArgumentError("unsupported pack version %u (have %u)",
-                                version, kPackV2Version);
+                                version, kPackVersion);
   }
   if (block_rows_u64 < 1 ||
       block_rows_u64 > static_cast<uint64_t>(kMaxPackBlockRows)) {
@@ -139,7 +143,7 @@ StatusOr<PackV2Info> ParsePackV2(std::span<const uint8_t> bytes) {
   const uint64_t payload_end = bytes.size() - kPackV2TrailerBytes;
   uint64_t stored_trailer_sum;
   std::memcpy(&stored_trailer_sum, bytes.data() + payload_end, 8);
-  const uint64_t actual_trailer_sum = PackChecksumV2(bytes.subspan(
+  const uint64_t actual_trailer_sum = PackChecksum(bytes.subspan(
       kPackV2HeaderBytes, payload_end - kPackV2HeaderBytes));
   if (stored_trailer_sum != actual_trailer_sum) {
     return DataLossError(
@@ -331,10 +335,6 @@ StatusOr<PackV2Info> ParsePackV2(std::span<const uint8_t> bytes) {
 }
 
 }  // namespace
-
-bool StartsWithPackV2Magic(std::string_view head) {
-  return head.starts_with(kPackV2Magic);
-}
 
 StatusOr<PackV2Info> InspectPackV2(std::span<const uint8_t> bytes) {
   return ParsePackV2(bytes);

@@ -14,8 +14,9 @@
 
 namespace ndv {
 
-// ndvpack v2 reader: validating parser + block-granular table opener
-// (layout in storage/pack_writer.h, codecs in storage/pack_codec.h).
+// ndvpack reader: validating parser + block-granular table opener
+// (layout in storage/pack_writer.h, codecs in storage/pack_codec.h). The
+// format is v3; the *V2 names date from the block layout, which v3 keeps.
 //
 // Everything is validated before a single column materializes — header
 // + trailer checksums, every directory field, every block's structure,
@@ -59,13 +60,11 @@ struct PackV2Info {
   std::vector<PackV2ColumnInfo> columns;
 };
 
-// True when `head` begins with the v2 magic.
-bool StartsWithPackV2Magic(std::string_view head);
-
 // Parses and fully validates one v2 image, returning its metadata. The
 // name views index into `bytes` and share its lifetime. `bytes.data()`
 // must be 8-aligned (mmap / malloc buffers both are). An image with the v1
-// magic fails with InvalidArgument naming ndvpack v1 as unsupported.
+// or v2 magic fails with InvalidArgument naming its version as unsupported,
+// before any length or checksum check.
 StatusOr<PackV2Info> InspectPackV2(std::span<const uint8_t> bytes);
 
 // Validates `bytes` and builds a Table of blocked columns over it. Every

@@ -415,8 +415,8 @@ Status PackWriter::Finalize() {
   // Header, back-patched into the reserved region with its own checksum.
   std::string header;
   header.reserve(kPackV2HeaderBytes);
-  header.append(kPackV2Magic);
-  AppendU32(header, kPackV2Version);
+  header.append(kPackMagic);
+  AppendU32(header, kPackVersion);
   AppendU32(header, static_cast<uint32_t>(columns_.size()));
   AppendU64(header, row_count_ < 0 ? 0 : static_cast<uint64_t>(row_count_));
   AppendU64(header, static_cast<uint64_t>(options_.block_rows));
@@ -424,8 +424,8 @@ Status PackWriter::Finalize() {
   AppendU64(header, directory.size());
   NDV_CHECK_EQ(header.size(), kPackV2HeaderBytes - 8);
   AppendU64(header,
-            PackChecksumV2({reinterpret_cast<const uint8_t*>(header.data()),
-                            header.size()}));
+            PackChecksum({reinterpret_cast<const uint8_t*>(header.data()),
+                          header.size()}));
   {
     const Status status = sink_->WriteAt(0, header);
     if (!status.ok()) {

@@ -16,7 +16,7 @@
 
 namespace ndv {
 
-// Streaming ndvpack v2 writer (DESIGN.md §15). PackWriter emits the file
+// Streaming ndvpack writer (DESIGN.md §15). PackWriter emits the file
 // incrementally — one codec'd block (block_rows values) at a time — so a
 // table far larger than RAM packs in O(block + dictionary) memory. The
 // column directory and both checksums are finalized at close; the file
@@ -24,16 +24,16 @@ namespace ndv {
 // file_io.h), so a crash mid-pack never leaves a half-written file at the
 // destination.
 //
-// v2 wire layout (all integers little-endian):
+// v3 wire layout (all integers little-endian):
 //
-//   [ 0..8)   magic "NDVPACK2"
-//   [ 8..12)  uint32 version (2)
+//   [ 0..8)   magic "NDVPACK3"
+//   [ 8..12)  uint32 version (3)
 //   [12..16)  uint32 column_count
 //   [16..24)  uint64 row_count
 //   [24..32)  uint64 block_rows (rows per block; last block may be short)
 //   [32..40)  uint64 directory_offset
 //   [40..48)  uint64 directory_length
-//   [48..56)  uint64 header checksum (PackChecksumV2 of bytes [0, 48))
+//   [48..56)  uint64 header checksum (PackChecksum of bytes [0, 48))
 //   [56..)    block payloads, 8-aligned each, then per-string-column
 //             dictionaries (uint64 offsets array 8-aligned, then the blob)
 //   directory_offset ..       per-column entries, parsed sequentially:
@@ -44,9 +44,9 @@ namespace ndv {
 //     uint32 block_count, then per block:
 //       uint8 codec, uint8 param, uint16 reserved (0),
 //       uint32 rows, uint64 offset, uint64 length
-//   [size-8..size) uint64 trailer checksum of bytes
-//                  [kPackV2HeaderBytes, size - 8) (streaming scheme,
-//                  storage/pack_codec.h)
+//   [size-8..size) uint64 trailer checksum (PackChecksum of bytes
+//                  [kPackV2HeaderBytes, size - 8); the 8-lane scheme is
+//                  defined at PackChecksummer, storage/pack_codec.h)
 //
 // Two checksums because the header is back-patched: the payload/directory
 // stream folds incrementally as it is emitted (the writer never rereads

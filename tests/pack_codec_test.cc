@@ -1,13 +1,15 @@
-// The v2 block-codec layer's contract: every encoder output validates and
-// decodes back to the input values (round trip), the auto policy only
+// The pack block-codec layer's contract: every encoder output validates
+// and decodes back to the input values (round trip), the auto policy only
 // picks a codec when it actually shrinks the block, validators reject
-// every malformed claim with a Status (never a crash), and the streaming
-// checksummer is chunking-invariant and length-sensitive.
+// every malformed claim with a Status naming the first bad row (never a
+// crash), and the streaming checksummer is chunking-invariant, length-
+// sensitive, sees a flip in every lane, and keeps its golden value.
 
 #include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -184,26 +186,119 @@ TEST(PackCodecTest, ValidatorsRejectMalformedClaims) {
   const Status reject = ValidateCodesBlock(enc.codec, enc.param, 4, bytes, 3);
   ASSERT_FALSE(reject.ok());
   EXPECT_EQ(reject.code(), StatusCode::kDataLoss);
-  // Illegal code width.
-  EXPECT_FALSE(ValidateCodesBlock(PackBlockCodec::kDictCodes, 3, 4,
-                                  bytes.subspan(0, 12), 4)
-                   .ok());
+  // Illegal code width (with the 12 bytes 4 rows of width 3 would take).
+  const std::vector<uint8_t> twelve(12, 0);
+  EXPECT_FALSE(
+      ValidateCodesBlock(PackBlockCodec::kDictCodes, 3, 4, twelve, 4).ok());
+}
+
+uint64_t Checksum(std::string_view bytes) {
+  return PackChecksum(
+      {reinterpret_cast<const uint8_t*>(bytes.data()), bytes.size()});
+}
+
+// A code block of `codes` at `width` bytes per code (4 = raw int32).
+std::string CodeBlockBytes(const std::vector<int64_t>& codes, size_t width) {
+  std::string out;
+  for (const int64_t code : codes) {
+    const auto bits = static_cast<uint64_t>(code);
+    for (size_t b = 0; b < width; ++b) {
+      out.push_back(static_cast<char>((bits >> (8 * b)) & 0xff));
+    }
+  }
+  return out;
+}
+
+TEST(PackCodecTest, CodeValidationNamesTheFirstBadRowAtEveryWidth) {
+  struct Case {
+    PackBlockCodec codec;
+    uint8_t param;
+    size_t width;
+    uint64_t dict_count;
+  };
+  const Case cases[] = {
+      {PackBlockCodec::kRaw, 0, 4, 70000},
+      {PackBlockCodec::kDictCodes, 1, 1, 200},
+      {PackBlockCodec::kDictCodes, 2, 2, 1000},
+      {PackBlockCodec::kDictCodes, 4, 4, 70000},
+  };
+  constexpr size_t kRows = 1001;
+  for (const Case& c : cases) {
+    SCOPED_TRACE(std::string(PackBlockCodecName(c.codec)) + " width " +
+                 std::to_string(c.width));
+    std::vector<int64_t> codes(kRows);
+    for (size_t i = 0; i < kRows; ++i) {
+      codes[i] = static_cast<int64_t>((i * 7919) % c.dict_count);
+    }
+    codes[kRows / 2] = static_cast<int64_t>(c.dict_count) - 1;
+    const auto validate = [&](const std::vector<int64_t>& block) {
+      const std::string bytes = CodeBlockBytes(block, c.width);
+      return ValidateCodesBlock(
+          c.codec, c.param, static_cast<int64_t>(kRows),
+          {reinterpret_cast<const uint8_t*>(bytes.data()), bytes.size()},
+          c.dict_count);
+    };
+    const Status valid = validate(codes);
+    EXPECT_TRUE(valid.ok()) << valid.ToString();
+
+    for (const size_t row : {size_t{0}, kRows / 2, kRows - 1}) {
+      std::vector<int64_t> bad = codes;
+      bad[row] = static_cast<int64_t>(c.dict_count);
+      bad[kRows - 1] = static_cast<int64_t>(c.dict_count);  // Not first.
+      const Status status = validate(bad);
+      ASSERT_FALSE(status.ok()) << "row " << row;
+      EXPECT_EQ(status.code(), StatusCode::kDataLoss);
+      EXPECT_EQ(status.message(),
+                "code " + std::to_string(c.dict_count) + " at block row " +
+                    std::to_string(row) + " outside dictionary of " +
+                    std::to_string(c.dict_count));
+      if (c.codec != PackBlockCodec::kRaw) continue;
+      bad = codes;
+      bad[row] = -5;
+      const Status negative = validate(bad);
+      ASSERT_FALSE(negative.ok()) << "row " << row;
+      EXPECT_EQ(negative.code(), StatusCode::kDataLoss);
+      EXPECT_EQ(negative.message(),
+                "negative code -5 at block row " + std::to_string(row));
+    }
+  }
+}
+
+TEST(PackCodecTest, ChecksumMatchesItsGoldenValue) {
+  // Pins the on-disk checksum: a change to the lane seeds, the stripe
+  // width, the tail or the length fold changes this value and every pack
+  // written before it.
+  std::string data;
+  for (int i = 0; i < 1000; ++i) data.push_back(static_cast<char>(i * 7));
+  EXPECT_EQ(Checksum(data), 0x77ae68379fef3b44ULL);
 }
 
 TEST(PackCodecTest, ChecksummerIsChunkingInvariantAndLengthSensitive) {
   std::string data;
   for (int i = 0; i < 1000; ++i) data.push_back(static_cast<char>(i * 7));
 
-  const uint64_t whole = PackChecksumV2(
-      {reinterpret_cast<const uint8_t*>(data.data()), data.size()});
-  for (const size_t chunk : {1u, 3u, 7u, 8u, 64u, 999u}) {
-    PackChecksummer sum;
-    for (size_t i = 0; i < data.size(); i += chunk) {
-      sum.Append(std::string_view(data).substr(i, chunk));
+  // Every total length from empty through three stripes and a tail, and
+  // the whole input, under chunkings that straddle the 8-byte word and
+  // 64-byte stripe edges.
+  std::vector<size_t> lengths(201);
+  for (size_t length = 0; length < lengths.size(); ++length) {
+    lengths[length] = length;
+  }
+  lengths.push_back(data.size());
+  for (const size_t length : lengths) {
+    const std::string_view prefix = std::string_view(data).substr(0, length);
+    const uint64_t want = Checksum(prefix);
+    for (const size_t chunk : {1u, 7u, 63u, 64u, 65u, 127u, 999u}) {
+      PackChecksummer sum;
+      for (size_t i = 0; i < prefix.size(); i += chunk) {
+        sum.Append(prefix.substr(i, chunk));
+      }
+      EXPECT_EQ(sum.Finish(), want) << "length " << length << " chunk "
+                                    << chunk;
     }
-    EXPECT_EQ(sum.Finish(), whole) << "chunk " << chunk;
   }
 
+  const uint64_t whole = Checksum(data);
   // Finish() is idempotent (does not consume state).
   PackChecksummer sum;
   sum.Append(data);
@@ -214,11 +309,38 @@ TEST(PackCodecTest, ChecksummerIsChunkingInvariantAndLengthSensitive) {
   // identical words (the end-folded length disambiguates).
   std::string padded = data;
   padded.append(8, '\0');
-  EXPECT_NE(PackChecksumV2({reinterpret_cast<const uint8_t*>(padded.data()),
-                            padded.size()}),
-            whole);
-  EXPECT_NE(PackChecksumV2(std::span<const uint8_t>()),
-            PackChecksumV2({reinterpret_cast<const uint8_t*>("\0"), 1}));
+  EXPECT_NE(Checksum(padded), whole);
+  EXPECT_NE(Checksum({}), Checksum(std::string_view("\0", 1)));
+}
+
+TEST(PackCodecTest, ChecksumSeesAFlipInEveryLaneAndInTheTail) {
+  // Two full stripes and a 13-byte tail. A flip in any word of a stripe
+  // reaches the sum through that word's lane; a flip in the tail through
+  // the serial fold.
+  std::string data;
+  for (int i = 0; i < 2 * 64 + 13; ++i) {
+    data.push_back(static_cast<char>(i * 31 + 5));
+  }
+  const uint64_t clean = Checksum(data);
+  std::vector<size_t> positions;
+  for (size_t lane = 0; lane < 8; ++lane) {
+    positions.push_back(64 + 9 * lane);  // Byte `lane` of word `lane`.
+  }
+  for (const size_t tail : {size_t{128}, size_t{135}, size_t{136},
+                            size_t{140}}) {
+    positions.push_back(tail);
+  }
+  std::vector<uint64_t> sums = {clean};
+  for (const size_t pos : positions) {
+    std::string flipped = data;
+    flipped[pos] = static_cast<char>(flipped[pos] ^ 0x01);
+    const uint64_t sum = Checksum(flipped);
+    EXPECT_NE(sum, clean) << "flip at byte " << pos;
+    sums.push_back(sum);
+  }
+  std::sort(sums.begin(), sums.end());
+  EXPECT_EQ(std::adjacent_find(sums.begin(), sums.end()), sums.end())
+      << "two single-byte flips collided";
 }
 
 TEST(PackCodecTest, CodecChoiceNamesParse) {

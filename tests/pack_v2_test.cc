@@ -1,12 +1,12 @@
-// The ndvpack v2 contract: a blocked, codec-compressed pack is the same
-// table. Heap -> v2 -> blocked columns must equal the heap columns
+// The ndvpack contract: a blocked, codec-compressed pack is the same
+// table. Heap -> pack -> blocked columns must equal the heap columns
 // value-for-value and hash-for-hash (including NaN / -0.0 and multi-block
 // columns with short tails), the streaming file writer must emit the same
-// bytes as the in-memory writer under any append chunking, legacy v1 packs
-// must be rejected by magic through every entry point, sampling, ANALYZE
-// and distributed ANALYZE over blocked columns must be bit-identical to
-// heap at every thread count, and the parser must reject every single-byte
-// corruption with a Status.
+// bytes as the in-memory writer under any append chunking, legacy v1 and
+// v2 packs must be rejected by magic through every entry point, sampling,
+// ANALYZE and distributed ANALYZE over blocked columns must be
+// bit-identical to heap at every thread count, and the parser must reject
+// every single-byte corruption with a Status.
 
 #include <unistd.h>
 
@@ -277,6 +277,43 @@ TEST(PackV2Test, FailedWriteLeavesNoDestinationFile) {
   EXPECT_FALSE(temp.good()) << "failed pack left " << path << ".tmp";
 }
 
+// Every entry point rejects each image in `images` with InvalidArgument
+// naming `version` ("v1", "v2") as unsupported.
+void ExpectRejectedByMagic(const std::vector<std::string>& images,
+                           const std::string& version) {
+  const std::string want = "ndvpack " + version + " is unsupported";
+  const auto expect_error = [&](const Status& status) {
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+        << status.ToString();
+    EXPECT_NE(status.message().find(want), std::string::npos)
+        << status.ToString();
+  };
+  for (const std::string& bytes : images) {
+    SCOPED_TRACE(std::to_string(bytes.size()) + " bytes");
+    const AlignedImage image(bytes);
+    const auto info = InspectPackV2(image.bytes());
+    ASSERT_FALSE(info.ok());
+    expect_error(info.status());
+
+    const std::string path = TempPath("pack_v2_legacy_" + version +
+                                      ".ndvpack");
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    }
+    const auto opened = OpenPackFile(path);
+    ASSERT_FALSE(opened.ok());
+    expect_error(opened.status());
+    EXPECT_NE(opened.status().message().find(path), std::string::npos);
+
+    // The transparent loader routes the file to the pack path by its
+    // magic; it never reaches the CSV parser.
+    const auto loaded = LoadTableAuto(path);
+    ASSERT_FALSE(loaded.ok());
+    expect_error(loaded.status());
+  }
+}
+
 TEST(PackV2Test, V1FilesAreRejectedByMagic) {
   // A hand-built v1 header: magic, version 1, one column, three rows, and
   // a directory offset/length, as the removed v1 writer laid them out.
@@ -288,39 +325,26 @@ TEST(PackV2Test, V1FilesAreRejectedByMagic) {
   v1.append(reinterpret_cast<const char*>(&columns), sizeof(columns));
   v1.append(reinterpret_cast<const char*>(fields), sizeof(fields));
 
-  const auto expect_v1_error = [](const Status& status) {
-    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
-        << status.ToString();
-    EXPECT_NE(status.message().find("ndvpack v1 is unsupported"),
-              std::string::npos)
-        << status.ToString();
-  };
-
   // The header alone and the header with trailing bytes both name v1: the
   // magic is checked before any length or checksum.
-  for (const std::string& bytes : {v1, v1 + std::string(64, '\0')}) {
-    SCOPED_TRACE(std::to_string(bytes.size()) + " bytes");
-    const AlignedImage image(bytes);
-    const auto info = InspectPackV2(image.bytes());
-    ASSERT_FALSE(info.ok());
-    expect_v1_error(info.status());
+  ExpectRejectedByMagic({v1, v1 + std::string(64, '\0')}, "v1");
+}
 
-    const std::string path = TempPath("pack_v2_legacy_v1.ndvpack");
-    {
-      std::ofstream out(path, std::ios::binary | std::ios::trunc);
-      out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-    }
-    const auto opened = OpenPackFile(path);
-    ASSERT_FALSE(opened.ok());
-    expect_v1_error(opened.status());
-    EXPECT_NE(opened.status().message().find(path), std::string::npos);
+TEST(PackV2Test, V2FilesAreRejectedByMagic) {
+  // v2 had today's layout under a serial checksum. A bare v2 header, and
+  // a complete current image relabelled v2, both name v2: the magic is
+  // checked before any length or checksum, so neither the short length
+  // nor the (now wrong) checksums are reported.
+  std::string header(kPackV2Magic);
+  const uint32_t version = 2;
+  header.append(reinterpret_cast<const char*>(&version), sizeof(version));
 
-    // The transparent loader routes the file to the pack path by its
-    // magic; it never reaches the CSV parser.
-    const auto loaded = LoadTableAuto(path);
-    ASSERT_FALSE(loaded.ok());
-    expect_v1_error(loaded.status());
-  }
+  std::string relabelled = SerializePackV2(MakeMixedTable(11));
+  relabelled.replace(0, kPackV2Magic.size(), kPackV2Magic);
+  relabelled.replace(kPackMagic.size(), sizeof(version),
+                     reinterpret_cast<const char*>(&version),
+                     sizeof(version));
+  ExpectRejectedByMagic({header, relabelled}, "v2");
 }
 
 TEST(PackV2Test, CompressesDeltaFriendlyAndLowCardinalityData) {

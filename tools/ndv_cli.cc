@@ -161,7 +161,7 @@ std::string GetEstimator(const Flags& flags,
   return name;
 }
 
-// --codec=auto|raw|delta|dict selects the v2 block codec policy for any
+// --codec=auto|raw|delta|dict selects the pack block codec policy for any
 // command that writes an .ndvpack file; unknown names fail fast.
 ndv::PackCodecChoice GetCodecFlag(const Flags& flags) {
   const std::string name = GetFlag(flags, "codec", "auto");
@@ -172,7 +172,7 @@ ndv::PackCodecChoice GetCodecFlag(const Flags& flags) {
   return codec;
 }
 
-// Writes `table` as ndvpack v2 honoring --codec.
+// Writes `table` as an ndvpack honoring --codec.
 ndv::Status WritePackWithFlags(const ndv::Table& table,
                                const std::string& out_path,
                                const Flags& flags) {

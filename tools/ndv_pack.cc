@@ -4,7 +4,7 @@
 // the rows it actually touches, not to the text it would have re-parsed.
 //
 //   ndv_pack [--codec=auto|raw|delta|dict] <input> <output.ndvpack>
-//       convert CSV (or repack) to ndvpack v2 with the given block codec
+//       convert CSV (or repack) to ndvpack v3 with the given block codec
 //       policy (default auto)
 //   ndv_pack --verify <file.ndvpack>
 //       validate header/checksums/columns and print each column's block
@@ -12,7 +12,7 @@
 //
 // The input format is auto-detected by content; packing an .ndvpack input
 // rewrites it canonically (useful after hand edits or a codec change).
-// Legacy v1 packs are rejected with an error naming the format.
+// Legacy v1 and v2 packs are rejected with an error naming the format.
 
 #include <cstdint>
 #include <cstdio>
@@ -63,8 +63,8 @@ int Verify(const std::string& path) {
                  info.status().ToString().c_str());
     return 1;
   }
-  std::printf("OK %s: v2, %llu rows x %zu columns, %lld rows/block\n",
-              path.c_str(),
+  std::printf("OK %s: v%u, %llu rows x %zu columns, %lld rows/block\n",
+              path.c_str(), ndv::kPackVersion,
               static_cast<unsigned long long>(info->row_count),
               info->columns.size(),
               static_cast<long long>(info->block_rows));
