@@ -28,8 +28,6 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   const auto catalog = ndv::StatsCatalog::DeserializeOrStatus(text);
   if (!catalog.ok()) {
     NDV_CHECK(!catalog.status().message().empty());
-    // The legacy optional wrapper must agree with the typed surface.
-    NDV_CHECK(!ndv::StatsCatalog::Deserialize(text).has_value());
     return 0;
   }
 

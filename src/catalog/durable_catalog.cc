@@ -9,6 +9,7 @@
 #include <cstring>
 #include <utility>
 
+#include "common/byte_codec.h"
 #include "common/check.h"
 #include "common/crash_point.h"
 #include "common/file_io.h"
@@ -28,148 +29,6 @@ enum class RecordKind : uint8_t {
   kPut = 1,      // one ColumnStats upsert
   kPublish = 2,  // whole-catalog replacement
 };
-
-// ---- Binary encoding, the serve wire conventions applied to disk:
-// fixed-width little-endian integers, u32-length-prefixed strings, doubles
-// as IEEE-754 bit patterns. The host is already static_asserted
-// little-endian by ndvpack.
-
-void PutU8(std::string* out, uint8_t value) {
-  out->push_back(static_cast<char>(value));
-}
-
-void PutU32(std::string* out, uint32_t value) {
-  char bytes[4];
-  std::memcpy(bytes, &value, sizeof(value));
-  out->append(bytes, sizeof(bytes));
-}
-
-void PutU64(std::string* out, uint64_t value) {
-  char bytes[8];
-  std::memcpy(bytes, &value, sizeof(value));
-  out->append(bytes, sizeof(bytes));
-}
-
-void PutF64(std::string* out, double value) {
-  uint64_t bits;
-  std::memcpy(&bits, &value, sizeof(bits));
-  PutU64(out, bits);
-}
-
-void PutString(std::string* out, std::string_view value) {
-  PutU32(out, static_cast<uint32_t>(value.size()));
-  out->append(value.data(), value.size());
-}
-
-// Bounds-checked cursor; every Take* fails with DataLoss on truncation so
-// record decoding is total over arbitrary bytes.
-class Reader {
- public:
-  explicit Reader(std::string_view data) : data_(data) {}
-
-  Status TakeU8(uint8_t* out) {
-    if (data_.size() - pos_ < 1) return Truncated("u8");
-    *out = static_cast<uint8_t>(data_[pos_]);
-    pos_ += 1;
-    return Status::Ok();
-  }
-
-  Status TakeU32(uint32_t* out) {
-    if (data_.size() - pos_ < 4) return Truncated("u32");
-    std::memcpy(out, data_.data() + pos_, 4);
-    pos_ += 4;
-    return Status::Ok();
-  }
-
-  Status TakeU64(uint64_t* out) {
-    if (data_.size() - pos_ < 8) return Truncated("u64");
-    std::memcpy(out, data_.data() + pos_, 8);
-    pos_ += 8;
-    return Status::Ok();
-  }
-
-  Status TakeI64(int64_t* out) {
-    uint64_t bits = 0;
-    NDV_RETURN_IF_ERROR(TakeU64(&bits));
-    *out = static_cast<int64_t>(bits);
-    return Status::Ok();
-  }
-
-  Status TakeF64(double* out) {
-    uint64_t bits = 0;
-    NDV_RETURN_IF_ERROR(TakeU64(&bits));
-    std::memcpy(out, &bits, sizeof(bits));
-    return Status::Ok();
-  }
-
-  Status TakeBool(bool* out) {
-    uint8_t byte = 0;
-    NDV_RETURN_IF_ERROR(TakeU8(&byte));
-    if (byte > 1) {
-      return DataLossError("bool byte must be 0 or 1, got %u",
-                           static_cast<unsigned>(byte));
-    }
-    *out = byte == 1;
-    return Status::Ok();
-  }
-
-  Status TakeString(std::string* out) {
-    uint32_t length = 0;
-    NDV_RETURN_IF_ERROR(TakeU32(&length));
-    if (length > kMaxWalRecord || data_.size() - pos_ < length) {
-      return Truncated("string");
-    }
-    out->assign(data_.data() + pos_, length);
-    pos_ += length;
-    return Status::Ok();
-  }
-
-  // A record body must be consumed exactly: trailing bytes mean the
-  // length prefix and the body disagree — corruption, not slack.
-  Status ExpectEnd() const {
-    if (pos_ != data_.size()) {
-      return DataLossError("%zu trailing bytes after record body",
-                           data_.size() - pos_);
-    }
-    return Status::Ok();
-  }
-
- private:
-  Status Truncated(const char* what) const {
-    return DataLossError("truncated record: %s at offset %zu of %zu bytes",
-                         what, pos_, data_.size());
-  }
-
-  std::string_view data_;
-  size_t pos_ = 0;
-};
-
-void PutColumnStats(std::string* out, const ColumnStats& stats) {
-  PutString(out, stats.column_name);
-  PutU64(out, static_cast<uint64_t>(stats.table_rows));
-  PutU64(out, static_cast<uint64_t>(stats.sample_rows));
-  PutU64(out, static_cast<uint64_t>(stats.sample_distinct));
-  PutF64(out, stats.estimate);
-  PutF64(out, stats.lower);
-  PutF64(out, stats.upper);
-  PutF64(out, stats.coverage);
-  PutU8(out, stats.degraded ? 1 : 0);
-  PutString(out, stats.method);
-}
-
-Status TakeColumnStats(Reader* reader, ColumnStats* stats) {
-  NDV_RETURN_IF_ERROR(reader->TakeString(&stats->column_name));
-  NDV_RETURN_IF_ERROR(reader->TakeI64(&stats->table_rows));
-  NDV_RETURN_IF_ERROR(reader->TakeI64(&stats->sample_rows));
-  NDV_RETURN_IF_ERROR(reader->TakeI64(&stats->sample_distinct));
-  NDV_RETURN_IF_ERROR(reader->TakeF64(&stats->estimate));
-  NDV_RETURN_IF_ERROR(reader->TakeF64(&stats->lower));
-  NDV_RETURN_IF_ERROR(reader->TakeF64(&stats->upper));
-  NDV_RETURN_IF_ERROR(reader->TakeF64(&stats->coverage));
-  NDV_RETURN_IF_ERROR(reader->TakeBool(&stats->degraded));
-  NDV_RETURN_IF_ERROR(reader->TakeString(&stats->method));
-  return Status::Ok();
-}
 
 // Snapshot image: magic | u64 epoch | u32 length | catalog v2 text |
 // u64 Checksum64 of everything before the trailer. The catalog travels in
@@ -205,8 +64,9 @@ StatusOr<DecodedSnapshot> DecodeSnapshot(std::string_view bytes) {
                          static_cast<unsigned long long>(stored),
                          static_cast<unsigned long long>(actual));
   }
-  Reader reader(bytes.substr(kSnapshotMagic.size(), bytes.size() - 8 -
-                                                        kSnapshotMagic.size()));
+  ByteReader reader(bytes.substr(kSnapshotMagic.size(),
+                                 bytes.size() - 8 - kSnapshotMagic.size()),
+                    kMaxWalRecord);
   DecodedSnapshot snapshot;
   NDV_RETURN_IF_ERROR(reader.TakeU64(&snapshot.epoch));
   std::string text;
@@ -307,23 +167,18 @@ Status DurableCatalog::ReplayWal(const std::string& path, bool repair) {
       std::string_view(bytes).substr(0, kWalMagic.size()) == kWalMagic) {
     valid_end = kWalMagic.size();
   }
-  size_t pos = valid_end;
   uint64_t gap_epoch = 0;
   bool epoch_gap = false;
-  while (valid_end > 0 && pos + kRecordHeaderBytes <= bytes.size()) {
-    uint32_t length = 0;
-    uint64_t stored = 0;
-    std::memcpy(&length, bytes.data() + pos, 4);
-    std::memcpy(&stored, bytes.data() + pos + 4, 8);
-    if (length > kMaxWalRecord ||
-        bytes.size() - pos - kRecordHeaderBytes < length) {
-      break;  // Garbage length or torn tail.
-    }
-    const std::string_view payload(bytes.data() + pos + kRecordHeaderBytes,
-                                   length);
+  ByteReader log(std::string_view(bytes).substr(valid_end), kMaxWalRecord);
+  uint32_t length = 0;
+  uint64_t stored = 0;
+  std::string_view payload;
+  // A garbage length or a torn tail fails the cursor and ends the scan.
+  while (valid_end > 0 && log.TakeU32(&length).ok() &&
+         log.TakeU64(&stored).ok() && log.TakeView(length, &payload).ok()) {
     if (Checksum64(payload) != stored) break;  // Torn or flipped bytes.
 
-    Reader reader(payload);
+    ByteReader reader(payload, kMaxWalRecord);
     uint8_t kind_byte = 0;
     uint64_t record_epoch = 0;
     StatsCatalog replacement;
@@ -371,8 +226,7 @@ Status DurableCatalog::ReplayWal(const std::string& path, bool repair) {
       gap_epoch = record_epoch;
       break;
     }
-    pos += kRecordHeaderBytes + length;
-    valid_end = pos;
+    valid_end = bytes.size() - log.remaining();
   }
 
   if (epoch_gap) {

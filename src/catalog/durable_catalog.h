@@ -36,11 +36,11 @@ namespace ndv {
 //
 // WAL record framing (the serve-protocol framing discipline applied to
 // disk): u32 payload length | u64 Checksum64(payload) | payload, where
-// payload = u8 kind | u64 epoch | body. Kinds: PUT (one binary-encoded
-// ColumnStats) and PUBLISH (whole-catalog replacement: u32 count +
-// ColumnStats each). Integers are fixed-width little-endian, strings are
-// u32 length + raw bytes, doubles travel as their IEEE-754 bit pattern —
-// exactly the serve wire conventions, so "bit-identical" is literal.
+// payload = u8 kind | u64 epoch | body. Kinds: PUT (one PutColumnStats
+// image) and PUBLISH (whole-catalog replacement: u32 count + one
+// PutColumnStats image each). Records are written and read with the
+// common/byte_codec.h codec the serve wire uses, so a WAL ColumnStats is
+// byte for byte the one in a STATS reply.
 //
 // Replay semantics are EXACT PREFIX: records are applied in order until
 // the first record whose length, checksum, or body fails validation; that

@@ -207,8 +207,31 @@ StatusOr<StatsCatalog> StatsCatalog::DeserializeOrStatus(
   return catalog;
 }
 
-std::optional<StatsCatalog> StatsCatalog::Deserialize(std::string_view text) {
-  return DeserializeOrStatus(text).ToOptional();
+void PutColumnStats(std::string* out, const ColumnStats& stats) {
+  PutString(out, stats.column_name);
+  PutI64(out, stats.table_rows);
+  PutI64(out, stats.sample_rows);
+  PutI64(out, stats.sample_distinct);
+  PutF64(out, stats.estimate);
+  PutF64(out, stats.lower);
+  PutF64(out, stats.upper);
+  PutF64(out, stats.coverage);
+  PutBool(out, stats.degraded);
+  PutString(out, stats.method);
+}
+
+Status TakeColumnStats(ByteReader* reader, ColumnStats* stats) {
+  NDV_RETURN_IF_ERROR(reader->TakeString(&stats->column_name));
+  NDV_RETURN_IF_ERROR(reader->TakeI64(&stats->table_rows));
+  NDV_RETURN_IF_ERROR(reader->TakeI64(&stats->sample_rows));
+  NDV_RETURN_IF_ERROR(reader->TakeI64(&stats->sample_distinct));
+  NDV_RETURN_IF_ERROR(reader->TakeF64(&stats->estimate));
+  NDV_RETURN_IF_ERROR(reader->TakeF64(&stats->lower));
+  NDV_RETURN_IF_ERROR(reader->TakeF64(&stats->upper));
+  NDV_RETURN_IF_ERROR(reader->TakeF64(&stats->coverage));
+  NDV_RETURN_IF_ERROR(reader->TakeBool(&stats->degraded));
+  NDV_RETURN_IF_ERROR(reader->TakeString(&stats->method));
+  return Status::Ok();
 }
 
 StatsCatalog AnalyzeTable(const Table& table, const AnalyzeOptions& options) {

@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "common/byte_codec.h"
 #include "common/random.h"
 #include "common/status.h"
 #include "estimators/estimator.h"
@@ -46,6 +47,14 @@ struct ColumnStats {
     return estimate <= 0.0 ? 1.0 : 1.0 / estimate;
   }
 };
+
+// The one binary encoding of a ColumnStats, shared by serve STATS replies
+// and WAL records (DESIGN.md §13, §14): column_name, table_rows,
+// sample_rows, sample_distinct (i64), estimate, lower, upper, coverage
+// (f64), degraded (bool byte), method, in common/byte_codec.h conventions.
+void PutColumnStats(std::string* out, const ColumnStats& stats);
+// Decodes one PutColumnStats image; a typed error on malformed bytes.
+Status TakeColumnStats(ByteReader* reader, ColumnStats* stats);
 
 struct AnalyzeOptions {
   double sample_fraction = 0.01;
@@ -101,9 +110,6 @@ class StatsCatalog {
   // complete). On malformed input returns InvalidArgument naming the line,
   // the field, and the reason.
   static StatusOr<StatsCatalog> DeserializeOrStatus(std::string_view text);
-
-  // Legacy wrapper: std::nullopt where DeserializeOrStatus errors.
-  static std::optional<StatsCatalog> Deserialize(std::string_view text);
 
  private:
   std::vector<ColumnStats> entries_;

@@ -2,154 +2,9 @@
 
 #include <cstring>
 
+#include "common/byte_codec.h"
+
 namespace ndv {
-namespace {
-
-// ---- Encoding primitives (little-endian, append-to-string). ----
-
-void PutU8(std::string* out, uint8_t value) {
-  out->push_back(static_cast<char>(value));
-}
-
-void PutU32(std::string* out, uint32_t value) {
-  char bytes[4];
-  std::memcpy(bytes, &value, sizeof(value));
-  out->append(bytes, sizeof(bytes));
-}
-
-void PutU64(std::string* out, uint64_t value) {
-  char bytes[8];
-  std::memcpy(bytes, &value, sizeof(value));
-  out->append(bytes, sizeof(bytes));
-}
-
-void PutI64(std::string* out, int64_t value) {
-  PutU64(out, static_cast<uint64_t>(value));
-}
-
-void PutF64(std::string* out, double value) {
-  uint64_t bits;
-  std::memcpy(&bits, &value, sizeof(bits));
-  PutU64(out, bits);
-}
-
-void PutString(std::string* out, std::string_view value) {
-  PutU32(out, static_cast<uint32_t>(value.size()));
-  out->append(value.data(), value.size());
-}
-
-// ---- Decoding: a bounds-checked cursor. Every Take* returns DataLoss on
-// truncation so decode is total over arbitrary bytes. ----
-
-class Reader {
- public:
-  explicit Reader(std::string_view data) : data_(data) {}
-
-  Status TakeU8(uint8_t* out) {
-    if (data_.size() - pos_ < 1) return Truncated("u8");
-    *out = static_cast<uint8_t>(data_[pos_]);
-    pos_ += 1;
-    return Status::Ok();
-  }
-
-  Status TakeU32(uint32_t* out) {
-    if (data_.size() - pos_ < 4) return Truncated("u32");
-    std::memcpy(out, data_.data() + pos_, 4);
-    pos_ += 4;
-    return Status::Ok();
-  }
-
-  Status TakeU64(uint64_t* out) {
-    if (data_.size() - pos_ < 8) return Truncated("u64");
-    std::memcpy(out, data_.data() + pos_, 8);
-    pos_ += 8;
-    return Status::Ok();
-  }
-
-  Status TakeI64(int64_t* out) {
-    uint64_t bits = 0;
-    NDV_RETURN_IF_ERROR(TakeU64(&bits));
-    *out = static_cast<int64_t>(bits);
-    return Status::Ok();
-  }
-
-  Status TakeF64(double* out) {
-    uint64_t bits = 0;
-    NDV_RETURN_IF_ERROR(TakeU64(&bits));
-    std::memcpy(out, &bits, sizeof(bits));
-    return Status::Ok();
-  }
-
-  Status TakeBool(bool* out) {
-    uint8_t byte = 0;
-    NDV_RETURN_IF_ERROR(TakeU8(&byte));
-    if (byte > 1) {
-      return InvalidArgumentError("bool byte must be 0 or 1, got %u",
-                                  static_cast<unsigned>(byte));
-    }
-    *out = byte == 1;
-    return Status::Ok();
-  }
-
-  Status TakeString(std::string* out) {
-    uint32_t length = 0;
-    NDV_RETURN_IF_ERROR(TakeU32(&length));
-    if (length > kMaxFramePayload || data_.size() - pos_ < length) {
-      return Truncated("string");
-    }
-    out->assign(data_.data() + pos_, length);
-    pos_ += length;
-    return Status::Ok();
-  }
-
-  // Decode must consume the payload exactly: trailing bytes mean the frame
-  // boundary and the body disagree — corruption, not versioning slack.
-  Status ExpectEnd() const {
-    if (pos_ != data_.size()) {
-      return DataLossError("%zu trailing bytes after message body",
-                           data_.size() - pos_);
-    }
-    return Status::Ok();
-  }
-
- private:
-  Status Truncated(const char* what) const {
-    return DataLossError("truncated frame: %s at offset %zu of %zu bytes",
-                         what, pos_, data_.size());
-  }
-
-  std::string_view data_;
-  size_t pos_ = 0;
-};
-
-void PutColumnStats(std::string* out, const ColumnStats& stats) {
-  PutString(out, stats.column_name);
-  PutI64(out, stats.table_rows);
-  PutI64(out, stats.sample_rows);
-  PutI64(out, stats.sample_distinct);
-  PutF64(out, stats.estimate);
-  PutF64(out, stats.lower);
-  PutF64(out, stats.upper);
-  PutF64(out, stats.coverage);
-  PutU8(out, stats.degraded ? 1 : 0);
-  PutString(out, stats.method);
-}
-
-Status TakeColumnStats(Reader* reader, ColumnStats* stats) {
-  NDV_RETURN_IF_ERROR(reader->TakeString(&stats->column_name));
-  NDV_RETURN_IF_ERROR(reader->TakeI64(&stats->table_rows));
-  NDV_RETURN_IF_ERROR(reader->TakeI64(&stats->sample_rows));
-  NDV_RETURN_IF_ERROR(reader->TakeI64(&stats->sample_distinct));
-  NDV_RETURN_IF_ERROR(reader->TakeF64(&stats->estimate));
-  NDV_RETURN_IF_ERROR(reader->TakeF64(&stats->lower));
-  NDV_RETURN_IF_ERROR(reader->TakeF64(&stats->upper));
-  NDV_RETURN_IF_ERROR(reader->TakeF64(&stats->coverage));
-  NDV_RETURN_IF_ERROR(reader->TakeBool(&stats->degraded));
-  NDV_RETURN_IF_ERROR(reader->TakeString(&stats->method));
-  return Status::Ok();
-}
-
-}  // namespace
 
 std::string_view MessageTypeName(MessageType type) {
   switch (type) {
@@ -173,13 +28,13 @@ std::string EncodeMessage(const Message& message) {
       PutString(&out, message.column);
       break;
     case MessageType::kAnalyze:
-      PutU8(&out, message.force ? 1 : 0);
+      PutBool(&out, message.force);
       break;
     case MessageType::kList:
       break;
     case MessageType::kStatsReply:
       PutU64(&out, message.epoch);
-      PutU8(&out, message.stale ? 1 : 0);
+      PutBool(&out, message.stale);
       PutColumnStats(&out, message.stats);
       break;
     case MessageType::kListReply:
@@ -192,7 +47,7 @@ std::string EncodeMessage(const Message& message) {
     case MessageType::kAnalyzeReply:
       PutU64(&out, message.epoch);
       PutI64(&out, message.analyzed_columns);
-      PutU8(&out, message.refreshed ? 1 : 0);
+      PutBool(&out, message.refreshed);
       break;
     case MessageType::kError:
       PutU8(&out, static_cast<uint8_t>(message.error_code));
@@ -203,7 +58,7 @@ std::string EncodeMessage(const Message& message) {
 }
 
 StatusOr<Message> DecodeMessage(std::string_view payload) {
-  Reader reader(payload);
+  ByteReader reader(payload, kMaxFramePayload);
   uint8_t type_byte = 0;
   NDV_RETURN_IF_ERROR(reader.TakeU8(&type_byte));
   if (type_byte < static_cast<uint8_t>(MessageType::kGetStats) ||
@@ -232,9 +87,12 @@ StatusOr<Message> DecodeMessage(std::string_view payload) {
       NDV_RETURN_IF_ERROR(reader.TakeU64(&message.epoch));
       uint32_t count = 0;
       NDV_RETURN_IF_ERROR(reader.TakeU32(&count));
-      if (count > kMaxFramePayload) {
-        return DataLossError("LIST_OK count %u exceeds frame capacity",
-                             static_cast<unsigned>(count));
+      // Every name takes at least its 4-byte length, so a count beyond
+      // remaining() / 4 is corrupt; refuse it before reserving for it.
+      if (count > reader.remaining() / 4) {
+        return DataLossError("LIST_OK count %u exceeds the %zu bytes left",
+                             static_cast<unsigned>(count),
+                             reader.remaining());
       }
       message.columns.reserve(count);
       for (uint32_t i = 0; i < count; ++i) {

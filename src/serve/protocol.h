@@ -21,9 +21,9 @@ namespace ndv {
 // so a retry after a timed-out attempt can discard the late reply of the
 // previous attempt instead of mis-pairing it. Payloads are capped
 // at kMaxFramePayload so a garbage length prefix cannot make a peer buffer
-// gigabytes. Integers are fixed-width little-endian (the repo already
-// static_asserts a little-endian host for ndvpack); strings are
-// u32 length + raw bytes; doubles are their IEEE-754 bit pattern as u64.
+// gigabytes. Bodies use the common/byte_codec.h conventions (fixed-width
+// little-endian integers, u32-length-prefixed strings, doubles as their
+// IEEE-754 bit pattern); a ColumnStats is its PutColumnStats image.
 //
 // Requests:  GET_STATS {column}, ANALYZE {force}, LIST {}
 // Responses: STATS {epoch, stale, ColumnStats}, LIST_OK {epoch, names},
@@ -81,8 +81,9 @@ struct Message {
 std::string EncodeMessage(const Message& message);
 
 // Parses one frame payload. Total: any input yields a Message or a typed
-// error (DataLoss for truncation/trailing bytes/oversize strings,
-// InvalidArgument for unknown enum values). Never aborts.
+// error (DataLoss for truncation, trailing bytes, oversize strings or a
+// LIST_OK count the remaining bytes cannot hold; InvalidArgument for
+// unknown enum values and bool bytes other than 0/1). Never aborts.
 StatusOr<Message> DecodeMessage(std::string_view payload);
 
 // Appends the length-prefixed frame for `payload` to `wire`.

@@ -5,6 +5,7 @@
 #include <limits>
 #include <utility>
 
+#include "common/byte_codec.h"
 #include "common/check.h"
 #include "storage/blocked_column.h"
 
@@ -18,37 +19,6 @@ namespace {
 constexpr uint32_t kTypeInt64 = 0;
 constexpr uint32_t kTypeDouble = 1;
 constexpr uint32_t kTypeString = 2;
-
-// Bounds-checked cursor over untrusted directory bytes.
-class ByteReader {
- public:
-  explicit ByteReader(std::span<const uint8_t> bytes) : bytes_(bytes) {}
-
-  bool ReadU8(uint8_t* out) { return ReadRaw(out, sizeof(*out)); }
-  bool ReadU16(uint16_t* out) { return ReadRaw(out, sizeof(*out)); }
-  bool ReadU32(uint32_t* out) { return ReadRaw(out, sizeof(*out)); }
-  bool ReadU64(uint64_t* out) { return ReadRaw(out, sizeof(*out)); }
-
-  bool ReadString(size_t length, std::string_view* out) {
-    if (length > Remaining()) return false;
-    *out = {reinterpret_cast<const char*>(bytes_.data() + pos_), length};
-    pos_ += length;
-    return true;
-  }
-
-  size_t Remaining() const { return bytes_.size() - pos_; }
-
- private:
-  bool ReadRaw(void* out, size_t length) {
-    if (length > Remaining()) return false;
-    std::memcpy(out, bytes_.data() + pos_, length);
-    pos_ += length;
-    return true;
-  }
-
-  std::span<const uint8_t> bytes_;
-  size_t pos_ = 0;
-};
 
 // Validates a payload region claim [offset, offset + length) inside
 // [kPackV2HeaderBytes, payload_end) with `alignment`. Overflow-safe.
@@ -76,13 +46,13 @@ StatusOr<PackV2Info> ParsePackV2(std::span<const uint8_t> bytes) {
   NDV_CHECK(bytes.empty() ||
             reinterpret_cast<uintptr_t>(bytes.data()) % 8 == 0);
 
-  const std::string_view head(reinterpret_cast<const char*>(bytes.data()),
-                              bytes.size());
-  if (head.starts_with(kPackV1Magic)) {
+  const std::string_view image(reinterpret_cast<const char*>(bytes.data()),
+                               bytes.size());
+  if (image.starts_with(kPackV1Magic)) {
     return InvalidArgumentError(
         "ndvpack v1 is unsupported; repack the source data as v3");
   }
-  if (head.starts_with(kPackV2Magic)) {
+  if (image.starts_with(kPackV2Magic)) {
     return InvalidArgumentError(
         "ndvpack v2 is unsupported; repack the source data as v3");
   }
@@ -92,7 +62,7 @@ StatusOr<PackV2Info> ParsePackV2(std::span<const uint8_t> bytes) {
                          bytes.size(),
                          static_cast<unsigned long long>(min_bytes));
   }
-  if (!head.starts_with(kPackMagic)) {
+  if (!image.starts_with(kPackMagic)) {
     return InvalidArgumentError("not an ndvpack file (bad magic)");
   }
 
@@ -110,16 +80,19 @@ StatusOr<PackV2Info> ParsePackV2(std::span<const uint8_t> bytes) {
         static_cast<unsigned long long>(actual_header_sum));
   }
 
-  ByteReader header(bytes.subspan(kPackMagic.size()));
-  uint32_t version, column_count;
-  uint64_t row_count, block_rows_u64, directory_offset, directory_length;
+  // The header holds no strings, hence the zero string cap.
+  ByteReader header(image.substr(kPackMagic.size()), 0);
+  uint32_t version = 0, column_count = 0;
+  uint64_t row_count = 0, block_rows_u64 = 0, directory_offset = 0,
+           directory_length = 0;
   // The cursor-advancing reads live outside the macro: a contract
   // condition must be effect-free (ndv-check-macro-side-effects).
   const bool header_complete =
-      header.ReadU32(&version) && header.ReadU32(&column_count) &&
-      header.ReadU64(&row_count) && header.ReadU64(&block_rows_u64) &&
-      header.ReadU64(&directory_offset) &&
-      header.ReadU64(&directory_length);
+      header.TakeU32(&version).ok() && header.TakeU32(&column_count).ok() &&
+      header.TakeU64(&row_count).ok() &&
+      header.TakeU64(&block_rows_u64).ok() &&
+      header.TakeU64(&directory_offset).ok() &&
+      header.TakeU64(&directory_length).ok();
   NDV_CHECK(header_complete);
   if (version != kPackVersion) {
     return InvalidArgumentError("unsupported pack version %u (have %u)",
@@ -174,12 +147,16 @@ StatusOr<PackV2Info> ParsePackV2(std::span<const uint8_t> bytes) {
   info.file_bytes = bytes.size();
   info.columns.reserve(std::min<uint64_t>(column_count, 1024));
 
-  ByteReader dir(bytes.subspan(directory_offset, directory_length));
+  // The cursor's own errors are replaced by messages that name the column
+  // or block being parsed.
+  ByteReader dir(image.substr(directory_offset, directory_length),
+                 directory_length);
   for (uint32_t c = 0; c < column_count; ++c) {
     PackV2ColumnInfo column;
-    uint32_t name_length, type;
-    if (!dir.ReadU32(&name_length) ||
-        !dir.ReadString(name_length, &column.name) || !dir.ReadU32(&type)) {
+    uint32_t name_length = 0, type = 0;
+    if (!dir.TakeU32(&name_length).ok() ||
+        !dir.TakeView(name_length, &column.name).ok() ||
+        !dir.TakeU32(&type).ok()) {
       return DataLossError("directory truncated in column %u of %u", c,
                            column_count);
     }
@@ -201,10 +178,10 @@ StatusOr<PackV2Info> ParsePackV2(std::span<const uint8_t> bytes) {
     }
 
     if (is_string) {
-      if (!dir.ReadU64(&column.dict_count) ||
-          !dir.ReadU64(&column.dict_offsets_offset) ||
-          !dir.ReadU64(&column.dict_blob_offset) ||
-          !dir.ReadU64(&column.dict_blob_length)) {
+      if (!dir.TakeU64(&column.dict_count).ok() ||
+          !dir.TakeU64(&column.dict_offsets_offset).ok() ||
+          !dir.TakeU64(&column.dict_blob_offset).ok() ||
+          !dir.TakeU64(&column.dict_blob_length).ok()) {
         return DataLossError("directory truncated in column %u of %u", c,
                              column_count);
       }
@@ -250,8 +227,8 @@ StatusOr<PackV2Info> ParsePackV2(std::span<const uint8_t> bytes) {
           (column.dict_count + 1) * sizeof(uint64_t) + column.dict_blob_length;
     }
 
-    uint32_t block_count;
-    if (!dir.ReadU32(&block_count)) {
+    uint32_t block_count = 0;
+    if (!dir.TakeU32(&block_count).ok()) {
       return DataLossError("directory truncated in column %u of %u", c,
                            column_count);
     }
@@ -267,13 +244,13 @@ StatusOr<PackV2Info> ParsePackV2(std::span<const uint8_t> bytes) {
     column.blocks.reserve(block_count);
     uint64_t rows_seen = 0;
     for (uint32_t b = 0; b < block_count; ++b) {
-      uint8_t codec_byte, param;
-      uint16_t reserved;
-      uint32_t rows_u32;
-      uint64_t offset, length;
-      if (!dir.ReadU8(&codec_byte) || !dir.ReadU8(&param) ||
-          !dir.ReadU16(&reserved) || !dir.ReadU32(&rows_u32) ||
-          !dir.ReadU64(&offset) || !dir.ReadU64(&length)) {
+      uint8_t codec_byte = 0, param = 0;
+      uint16_t reserved = 0;
+      uint32_t rows_u32 = 0;
+      uint64_t offset = 0, length = 0;
+      if (!dir.TakeU8(&codec_byte).ok() || !dir.TakeU8(&param).ok() ||
+          !dir.TakeU16(&reserved).ok() || !dir.TakeU32(&rows_u32).ok() ||
+          !dir.TakeU64(&offset).ok() || !dir.TakeU64(&length).ok()) {
         return DataLossError("directory truncated in block %u of column "
                              "'%.*s'",
                              b, static_cast<int>(column.name.size()),
@@ -327,9 +304,9 @@ StatusOr<PackV2Info> ParsePackV2(std::span<const uint8_t> bytes) {
     info.columns.push_back(std::move(column));
   }
 
-  if (dir.Remaining() != 0) {
+  if (dir.remaining() != 0) {
     return DataLossError("%zu trailing bytes after the last directory entry",
-                         dir.Remaining());
+                         dir.remaining());
   }
   return info;
 }

@@ -9,6 +9,7 @@
 #include <limits>
 #include <utility>
 
+#include "common/byte_codec.h"
 #include "common/check.h"
 #include "common/file_io.h"
 #include "storage/blocked_column.h"
@@ -23,14 +24,6 @@ constexpr uint32_t kTypeString = 2;
 
 // Rows per chunk when streaming an existing column through the writer.
 constexpr int64_t kRepackChunkRows = 8192;
-
-void AppendU32(std::string& out, uint32_t v) {
-  out.append(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-
-void AppendU64(std::string& out, uint64_t v) {
-  out.append(reinterpret_cast<const char*>(&v), sizeof(v));
-}
 
 }  // namespace
 
@@ -324,10 +317,10 @@ Status PackWriter::FlushDictionary() {
   offsets.reserve((dict_entries_.size() + 1) * sizeof(uint64_t));
   uint64_t blob_length = 0;
   for (const std::string& entry : dict_entries_) {
-    AppendU64(offsets, blob_length);
+    PutU64(&offsets, blob_length);
     blob_length += entry.size();
   }
-  AppendU64(offsets, blob_length);
+  PutU64(&offsets, blob_length);
   NDV_RETURN_IF_ERROR(Emit(offsets));
   column.dict_blob_offset = offset_;
   column.dict_blob_length = blob_length;
@@ -368,41 +361,37 @@ Status PackWriter::Finalize() {
   const uint64_t directory_offset = offset_;
   std::string directory;
   for (const ColumnEntry& column : columns_) {
-    AppendU32(directory, static_cast<uint32_t>(column.name.size()));
-    directory.append(column.name);
+    PutString(&directory, column.name);
     switch (column.type) {
       case ColumnType::kInt64:
-        AppendU32(directory, kTypeInt64);
+        PutU32(&directory, kTypeInt64);
         break;
       case ColumnType::kDouble:
-        AppendU32(directory, kTypeDouble);
+        PutU32(&directory, kTypeDouble);
         break;
       case ColumnType::kString:
-        AppendU32(directory, kTypeString);
-        AppendU64(directory, column.dict_count);
-        AppendU64(directory, column.dict_offsets_offset);
-        AppendU64(directory, column.dict_blob_offset);
-        AppendU64(directory, column.dict_blob_length);
+        PutU32(&directory, kTypeString);
+        PutU64(&directory, column.dict_count);
+        PutU64(&directory, column.dict_offsets_offset);
+        PutU64(&directory, column.dict_blob_offset);
+        PutU64(&directory, column.dict_blob_length);
         break;
     }
-    AppendU32(directory, static_cast<uint32_t>(column.blocks.size()));
+    PutU32(&directory, static_cast<uint32_t>(column.blocks.size()));
     for (const BlockEntry& block : column.blocks) {
-      std::string entry;
-      entry.push_back(static_cast<char>(block.codec));
-      entry.push_back(static_cast<char>(block.param));
-      entry.push_back('\0');  // reserved
-      entry.push_back('\0');
-      AppendU32(entry, block.rows);
-      AppendU64(entry, block.offset);
-      AppendU64(entry, block.length);
-      directory.append(entry);
+      PutU8(&directory, static_cast<uint8_t>(block.codec));
+      PutU8(&directory, block.param);
+      PutU16(&directory, 0);  // reserved
+      PutU32(&directory, block.rows);
+      PutU64(&directory, block.offset);
+      PutU64(&directory, block.length);
     }
   }
   NDV_RETURN_IF_ERROR(Emit(directory));
 
   // Trailer: checksum of everything streamed since the header region.
   std::string trailer;
-  AppendU64(trailer, trailer_sum_.Finish());
+  PutU64(&trailer, trailer_sum_.Finish());
   {
     const Status status = sink_->Append(trailer);
     if (!status.ok()) {
@@ -416,16 +405,16 @@ Status PackWriter::Finalize() {
   std::string header;
   header.reserve(kPackV2HeaderBytes);
   header.append(kPackMagic);
-  AppendU32(header, kPackVersion);
-  AppendU32(header, static_cast<uint32_t>(columns_.size()));
-  AppendU64(header, row_count_ < 0 ? 0 : static_cast<uint64_t>(row_count_));
-  AppendU64(header, static_cast<uint64_t>(options_.block_rows));
-  AppendU64(header, directory_offset);
-  AppendU64(header, directory.size());
+  PutU32(&header, kPackVersion);
+  PutU32(&header, static_cast<uint32_t>(columns_.size()));
+  PutU64(&header, row_count_ < 0 ? 0 : static_cast<uint64_t>(row_count_));
+  PutU64(&header, static_cast<uint64_t>(options_.block_rows));
+  PutU64(&header, directory_offset);
+  PutU64(&header, directory.size());
   NDV_CHECK_EQ(header.size(), kPackV2HeaderBytes - 8);
-  AppendU64(header,
-            PackChecksum({reinterpret_cast<const uint8_t*>(header.data()),
-                          header.size()}));
+  PutU64(&header,
+         PackChecksum({reinterpret_cast<const uint8_t*>(header.data()),
+                       header.size()}));
   {
     const Status status = sink_->WriteAt(0, header);
     if (!status.ok()) {

@@ -9,6 +9,7 @@
 #include <cstdlib>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -40,6 +41,43 @@ ColumnStats MakeStats(const std::string& name, int64_t salt) {
   stats.degraded = salt % 3 != 0;
   return stats;
 }
+
+// Every ColumnStats field set to a distinct value; the name carries the
+// text catalog's escape characters, which the binary codec passes verbatim.
+ColumnStats GoldenStats() {
+  ColumnStats stats;
+  stats.column_name = "orders|id%2";
+  stats.table_rows = 123456789012;
+  stats.sample_rows = 1234567;
+  stats.sample_distinct = 654321;
+  stats.estimate = 987654.25;
+  stats.lower = 654321.0;
+  stats.upper = 1.5e7;
+  stats.method = "AE";
+  stats.coverage = 0.875;
+  stats.degraded = true;
+  return stats;
+}
+
+std::string ToHex(std::string_view bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (const char c : bytes) {
+    out += kDigits[static_cast<unsigned char>(c) >> 4];
+    out += kDigits[static_cast<unsigned char>(c) & 0xf];
+  }
+  return out;
+}
+
+// wal.log after the 8-byte magic, following one AppendPut(GoldenStats())
+// into a fresh directory: record header (u32 length, u64 checksum) and
+// the Put payload. Logs on disk hold these bytes; any change here breaks
+// their replay.
+constexpr std::string_view kGoldenPutRecordHex =
+    "57000000eedbcc6ef687c0e00101000000000000000b0000006f72646572737c"
+    "69642532141a99be1c00000087d6120000000000f1fb09000000000000000080"
+    "0c242e4100000000e2f7234100000000389c6c41000000000000ec3f01020000"
+    "004145";
 
 std::unique_ptr<DurableCatalog> OpenOrDie(DurableCatalogOptions options) {
   auto opened = DurableCatalog::Open(std::move(options));
@@ -334,6 +372,19 @@ TEST(DurableCatalogTest, FsyncNonePolicyStillRecoversAcrossCleanReopen) {
   auto durable = OpenOrDie({.dir = dir, .fsync = FsyncPolicy::kNone});
   EXPECT_EQ(durable->epoch(), 3u);
   EXPECT_EQ(durable->state().Serialize(), model.Serialize());
+}
+
+TEST(DurableCatalogTest, PutRecordEncodesToPinnedBytes) {
+  const std::string dir = TestDir("durable_golden");
+  {
+    auto durable = OpenOrDie({.dir = dir, .snapshot_every_records = 0});
+    ASSERT_TRUE(durable->AppendPut(GoldenStats()).ok());
+  }
+  const auto wal =
+      ReadFileOrStatus(dir + "/" + std::string(DurableCatalog::kWalFile));
+  ASSERT_TRUE(wal.ok()) << wal.status().ToString();
+  ASSERT_TRUE(wal->starts_with("NDVWAL1\n"));
+  EXPECT_EQ(ToHex(std::string_view(*wal).substr(8)), kGoldenPutRecordHex);
 }
 
 TEST(DurableCatalogTest, OversizeRecordIsRejectedNotAppended) {

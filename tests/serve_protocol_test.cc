@@ -1,7 +1,9 @@
 #include "serve/protocol.h"
 
 #include <cstdint>
+#include <cstring>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -25,6 +27,40 @@ ColumnStats MakeStats() {
   stats.degraded = true;
   return stats;
 }
+
+// Every ColumnStats field set to a distinct value; the name carries the
+// text catalog's escape characters, which the binary codec passes verbatim.
+ColumnStats GoldenStats() {
+  ColumnStats stats;
+  stats.column_name = "orders|id%2";
+  stats.table_rows = 123456789012;
+  stats.sample_rows = 1234567;
+  stats.sample_distinct = 654321;
+  stats.estimate = 987654.25;
+  stats.lower = 654321.0;
+  stats.upper = 1.5e7;
+  stats.method = "AE";
+  stats.coverage = 0.875;
+  stats.degraded = true;
+  return stats;
+}
+
+std::string ToHex(std::string_view bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (const char c : bytes) {
+    out += kDigits[static_cast<unsigned char>(c) >> 4];
+    out += kDigits[static_cast<unsigned char>(c) & 0xf];
+  }
+  return out;
+}
+
+// EncodeMessage of the STATS reply in StatsReplyEncodesToPinnedBytes. These
+// are the bytes deployed peers parse; any change here is a wire break.
+constexpr std::string_view kGoldenStatsReplyHex =
+    "0408070605040302012a00000000000000010b0000006f72646572737c696425"
+    "32141a99be1c00000087d6120000000000f1fb090000000000000000800c242e"
+    "4100000000e2f7234100000000389c6c41000000000000ec3f01020000004145";
 
 TEST(ServeProtocolTest, GetStatsRoundTrips) {
   Message request;
@@ -77,6 +113,16 @@ TEST(ServeProtocolTest, StatsReplyRoundTripsEveryField) {
   EXPECT_TRUE(stats.degraded);
 }
 
+TEST(ServeProtocolTest, StatsReplyEncodesToPinnedBytes) {
+  Message reply;
+  reply.type = MessageType::kStatsReply;
+  reply.request_id = 0x0102030405060708ull;
+  reply.epoch = 42;
+  reply.stale = true;
+  reply.stats = GoldenStats();
+  EXPECT_EQ(ToHex(EncodeMessage(reply)), kGoldenStatsReplyHex);
+}
+
 TEST(ServeProtocolTest, ListReplyRoundTrips) {
   Message reply;
   reply.type = MessageType::kListReply;
@@ -120,6 +166,24 @@ TEST(ServeProtocolTest, TrailingGarbageIsDataLoss) {
   const auto decoded = DecodeMessage(EncodeMessage(request) + "extra");
   ASSERT_FALSE(decoded.ok());
   EXPECT_EQ(decoded.status().code(), StatusCode::kDataLoss);
+}
+
+TEST(ServeProtocolTest, ListReplyCountBeyondPayloadIsDataLoss) {
+  // A 21-byte LIST_OK claiming 2^20 names. Each name takes at least its
+  // 4-byte length, so the count is refused before anything is reserved
+  // for it, not after a 32 MiB reservation.
+  Message reply;
+  reply.type = MessageType::kListReply;
+  std::string payload = EncodeMessage(reply);
+  ASSERT_EQ(payload.size(), 21u);
+  const uint32_t count = 1u << 20;
+  std::memcpy(payload.data() + payload.size() - 4, &count, sizeof(count));
+  const auto decoded = DecodeMessage(payload);
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.status().code(), StatusCode::kDataLoss);
+  EXPECT_NE(decoded.status().message().find("LIST_OK count"),
+            std::string::npos)
+      << decoded.status().ToString();
 }
 
 TEST(ServeProtocolTest, UnknownMessageTypeIsInvalidArgument) {

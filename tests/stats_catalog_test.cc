@@ -87,8 +87,8 @@ TEST(StatsCatalogTest, ReanalyzeNeverExposesDuplicateEntries) {
   }
   EXPECT_EQ(col_lines, 1u) << "duplicate serialized entries:\n" << text;
 
-  const auto parsed = StatsCatalog::Deserialize(text);
-  ASSERT_TRUE(parsed.has_value());
+  const auto parsed = StatsCatalog::DeserializeOrStatus(text);
+  ASSERT_TRUE(parsed.ok());
   EXPECT_EQ(parsed->entries().size(), 2u);
   EXPECT_DOUBLE_EQ(parsed->Find("col")->estimate, 50.0);
 }
@@ -104,8 +104,8 @@ TEST(StatsCatalogTest, SerializationRoundTrips) {
   catalog.Put(MakeStats("with|pipe", 3.25));
   catalog.Put(MakeStats("with%percent\nand newline", 1e-9));
   const std::string text = catalog.Serialize();
-  const auto parsed = StatsCatalog::Deserialize(text);
-  ASSERT_TRUE(parsed.has_value());
+  const auto parsed = StatsCatalog::DeserializeOrStatus(text);
+  ASSERT_TRUE(parsed.ok());
   EXPECT_EQ(parsed->entries().size(), 3u);
   ASSERT_TRUE(parsed->Find("with|pipe").has_value());
   EXPECT_DOUBLE_EQ(parsed->Find("with|pipe")->estimate, 3.25);
@@ -116,21 +116,23 @@ TEST(StatsCatalogTest, SerializationRoundTrips) {
 }
 
 TEST(StatsCatalogTest, DeserializeRejectsMalformedInput) {
-  EXPECT_FALSE(StatsCatalog::Deserialize("").has_value());
-  EXPECT_FALSE(StatsCatalog::Deserialize("wrong-header\n").has_value());
+  EXPECT_FALSE(StatsCatalog::DeserializeOrStatus("").ok());
+  EXPECT_FALSE(StatsCatalog::DeserializeOrStatus("wrong-header\n").ok());
   EXPECT_FALSE(
-      StatsCatalog::Deserialize("ndv-stats-v1\ntoo|few|fields\n").has_value());
-  EXPECT_FALSE(StatsCatalog::Deserialize(
+      StatsCatalog::DeserializeOrStatus("ndv-stats-v1\ntoo|few|fields\n")
+          .ok());
+  EXPECT_FALSE(StatsCatalog::DeserializeOrStatus(
                    "ndv-stats-v1\nname|x|100|80|1.0|1.0|2.0|AE\n")
-                   .has_value());
-  EXPECT_FALSE(StatsCatalog::Deserialize(
+                   .ok());
+  EXPECT_FALSE(StatsCatalog::DeserializeOrStatus(
                    "ndv-stats-v1\nbad%zzescape|1|1|1|1|1|1|AE\n")
-                   .has_value());
+                   .ok());
 }
 
 TEST(StatsCatalogTest, EmptyCatalogSerializes) {
-  const auto parsed = StatsCatalog::Deserialize(StatsCatalog().Serialize());
-  ASSERT_TRUE(parsed.has_value());
+  const auto parsed =
+      StatsCatalog::DeserializeOrStatus(StatsCatalog().Serialize());
+  ASSERT_TRUE(parsed.ok());
   EXPECT_TRUE(parsed->empty());
 }
 
@@ -553,8 +555,8 @@ TEST(AnalyzeTableTest, ExactModeIsThreadCountInvariant) {
 TEST(AnalyzeTableTest, CatalogRoundTripsThroughText) {
   const Table census = MakeCensusLikeScaled(2000);
   const StatsCatalog catalog = AnalyzeTable(census, {});
-  const auto parsed = StatsCatalog::Deserialize(catalog.Serialize());
-  ASSERT_TRUE(parsed.has_value());
+  const auto parsed = StatsCatalog::DeserializeOrStatus(catalog.Serialize());
+  ASSERT_TRUE(parsed.ok());
   ASSERT_EQ(parsed->entries().size(), catalog.entries().size());
   for (const ColumnStats& stats : catalog.entries()) {
     const std::optional<ColumnStats> roundtripped = parsed->Find(stats.column_name);
