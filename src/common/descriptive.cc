@@ -34,10 +34,6 @@ double RunningStats::PopulationStdDev() const {
   return std::sqrt(PopulationVariance());
 }
 
-double RunningStats::SampleStdDev() const {
-  return std::sqrt(SampleVariance());
-}
-
 double RatioError(double estimate, double actual) {
   NDV_CHECK(actual > 0.0);
   NDV_CHECK(estimate > 0.0);

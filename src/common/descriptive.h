@@ -19,7 +19,6 @@ class RunningStats {
   // Sample variance (divides by N - 1); 0 for fewer than 2 observations.
   double SampleVariance() const;
   double PopulationStdDev() const;
-  double SampleStdDev() const;
   double min() const { return min_; }
   double max() const { return max_; }
 

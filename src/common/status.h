@@ -138,12 +138,6 @@ class [[nodiscard]] StatusOr {
   T* operator->() { return &value(); }
   const T* operator->() const { return &value(); }
 
-  // Bridge to the legacy std::optional surface.
-  std::optional<T> ToOptional() && {
-    if (!ok()) return std::nullopt;
-    return *std::move(value_);
-  }
-
  private:
   void CheckHasValue() const {
     NDV_CHECK_MSG(ok(), "StatusOr::value() on error: %s",

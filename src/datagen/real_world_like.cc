@@ -1,6 +1,5 @@
 #include "datagen/real_world_like.h"
 
-#include <algorithm>
 #include <vector>
 
 #include "common/check.h"
@@ -73,39 +72,7 @@ std::vector<ColumnSpec> MSSalesSpecs() {
   };
 }
 
-std::vector<ColumnSpec> LineitemSpecs(int64_t rows) {
-  // Cardinalities follow TPC-H's column value ranges, scaled to the row
-  // count where TPC-H scales them with SF (keys), fixed where the spec
-  // fixes them (flags, modes).
-  const int64_t orders = std::max<int64_t>(1, rows / 4);
-  const int64_t parts = std::max<int64_t>(1, rows / 30);
-  const int64_t suppliers = std::max<int64_t>(1, rows / 600);
-  return {
-      ColumnSpec::Zipf("l_orderkey", orders, 0.05),      // ~4 lines/order
-      ColumnSpec::Uniform("l_partkey", parts),
-      ColumnSpec::Uniform("l_suppkey", suppliers),
-      ColumnSpec::Uniform("l_linenumber", 7),
-      ColumnSpec::Zipf("l_quantity", 50, 0.1),
-      ColumnSpec::Normal("l_extendedprice", 38000.0, 23000.0),
-      ColumnSpec::Uniform("l_discount", 11),
-      ColumnSpec::Uniform("l_tax", 9),
-      ColumnSpec::Zipf("l_returnflag", 3, 0.6),
-      ColumnSpec::Zipf("l_linestatus", 2, 0.3),
-      ColumnSpec::Uniform("l_shipdate", 2526),           // 7 years of days
-      ColumnSpec::Uniform("l_commitdate", 2466),
-      ColumnSpec::Uniform("l_receiptdate", 2555),
-      ColumnSpec::Zipf("l_shipinstruct", 4, 0.2),
-      ColumnSpec::Zipf("l_shipmode", 7, 0.3),
-      ColumnSpec::Unique("l_comment"),                   // near-unique text
-  };
-}
-
 }  // namespace
-
-Table MakeLineitemLike(int64_t rows, uint64_t seed) {
-  NDV_CHECK(rows >= 1);
-  return MakeSyntheticTable(rows, LineitemSpecs(rows), seed);
-}
 
 Table MakeCensusLike(uint64_t seed) { return MakeCensusLikeScaled(32561, seed); }
 

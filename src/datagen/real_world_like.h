@@ -35,13 +35,6 @@ Table MakeCensusLikeScaled(int64_t rows, uint64_t seed = 101);
 Table MakeCoverTypeLikeScaled(int64_t rows, uint64_t seed = 202);
 Table MakeMSSalesLikeScaled(int64_t rows, uint64_t seed = 303);
 
-// Beyond the paper: a TPC-H-style lineitem table (16 columns) for workload
-// breadth — fact-table keys (near-unique orderkey×linenumber structure),
-// foreign keys (partkey/suppkey), tiny enums (returnflag/linestatus),
-// dates, and long-tailed quantities. Default scale ~6M rows per TPC-H
-// SF-1; use the `rows` parameter for test-sized instances.
-Table MakeLineitemLike(int64_t rows = 6000000, uint64_t seed = 404);
-
 }  // namespace ndv
 
 #endif  // NDV_DATAGEN_REAL_WORLD_LIKE_H_

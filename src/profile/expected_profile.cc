@@ -42,26 +42,6 @@ double ExpectedFiWor(std::span<const int64_t> class_counts, int64_t r,
   return expected;
 }
 
-ProfileExpectation ExpectedProfileWor(std::span<const int64_t> class_counts,
-                                      int64_t r, int64_t max_freq) {
-  const int64_t n = TotalRows(class_counts);
-  NDV_CHECK(0 <= r && r <= n);
-  NDV_CHECK(max_freq >= 1);
-  ProfileExpectation expectation;
-  expectation.population_rows = n;
-  expectation.sample_rows = r;
-  expectation.expected_f.assign(static_cast<size_t>(max_freq), 0.0);
-  for (int64_t t : class_counts) {
-    expectation.expected_distinct +=
-        1.0 - HypergeometricMissProbability(n, t, r);
-    for (int64_t i = 1; i <= max_freq; ++i) {
-      expectation.expected_f[static_cast<size_t>(i - 1)] +=
-          HypergeometricPmf(n, t, r, i);
-    }
-  }
-  return expectation;
-}
-
 double GeeExpectedValueWor(std::span<const int64_t> class_counts,
                            int64_t r) {
   const int64_t n = TotalRows(class_counts);

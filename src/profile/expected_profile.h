@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <span>
-#include <vector>
 
 namespace ndv {
 
@@ -15,13 +14,6 @@ namespace ndv {
 //     arbitrary population), and
 //   * calibrate experiment designs (expected d, f1 at a target rate).
 
-struct ProfileExpectation {
-  int64_t population_rows = 0;  // n
-  int64_t sample_rows = 0;      // r
-  double expected_distinct = 0.0;          // E[d]
-  std::vector<double> expected_f;          // expected_f[i-1] == E[f_i]
-};
-
 // Exact E[d] = sum_j (1 - P[class j missed]) for a without-replacement
 // sample of r rows. class_counts are the true per-class multiplicities
 // (each >= 1, summing to n). Requires 0 <= r <= n.
@@ -30,10 +22,6 @@ double ExpectedDistinctWor(std::span<const int64_t> class_counts, int64_t r);
 // Exact E[f_i] = sum_j P[class j contributes exactly i rows].
 double ExpectedFiWor(std::span<const int64_t> class_counts, int64_t r,
                      int64_t i);
-
-// E[d] and E[f_1..f_max_freq] in one pass.
-ProfileExpectation ExpectedProfileWor(std::span<const int64_t> class_counts,
-                                      int64_t r, int64_t max_freq);
 
 // Expected value of GEE's raw formula sqrt(n/r) E[f1] + (E[d] - E[f1])
 // under without-replacement sampling (the WOR analogue of

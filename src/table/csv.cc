@@ -233,17 +233,4 @@ StatusOr<Table> ReadCsvAsStringsOrStatus(std::string_view text) {
   return table;
 }
 
-std::optional<std::vector<std::vector<std::string>>> ParseCsv(
-    std::string_view text) {
-  return ParseCsvOrStatus(text).ToOptional();
-}
-
-std::optional<Table> ReadCsvAsStrings(std::string_view text) {
-  return ReadCsvAsStringsOrStatus(text).ToOptional();
-}
-
-std::optional<Table> ReadCsvInferred(std::string_view text) {
-  return ReadCsvInferredOrStatus(text).ToOptional();
-}
-
 }  // namespace ndv

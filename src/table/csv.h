@@ -2,7 +2,6 @@
 #define NDV_TABLE_CSV_H_
 
 #include <iosfwd>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -16,11 +15,10 @@ namespace ndv {
 // columns round-trip through strings; typed parsing is the caller's concern
 // except for the convenience readers below.
 //
-// The *OrStatus readers are the canonical surface: malformed input yields
-// an InvalidArgument status naming the line (1-based, counted outside
-// quotes) and the reason — "unterminated quote opened at line 12", "ragged
-// row at line 3: expected 4 fields, got 3". The std::optional forms are
-// thin wrappers kept for callers that only care about success.
+// On malformed input the readers return an InvalidArgument status naming
+// the line (1-based, counted outside quotes) and the reason — "unterminated
+// quote opened at line 12", "ragged row at line 3: expected 4 fields, got
+// 3".
 
 // Serializes `table` (with a header row of column names) to `out`.
 void WriteCsv(const Table& table, std::ostream& out);
@@ -40,12 +38,6 @@ StatusOr<Table> ReadCsvAsStringsOrStatus(std::string_view text);
 // DoubleColumn, everything else stays a StringColumn. Empty fields block
 // numeric inference (they would need a null story).
 StatusOr<Table> ReadCsvInferredOrStatus(std::string_view text);
-
-// Legacy wrappers: std::nullopt where the *OrStatus forms return an error.
-std::optional<std::vector<std::vector<std::string>>> ParseCsv(
-    std::string_view text);
-std::optional<Table> ReadCsvAsStrings(std::string_view text);
-std::optional<Table> ReadCsvInferred(std::string_view text);
 
 }  // namespace ndv
 

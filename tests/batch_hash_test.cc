@@ -26,7 +26,6 @@
 #include "storage/pack_writer.h"
 #include "table/column.h"
 #include "table/column_sampling.h"
-#include "table/multi_column.h"
 #include "table/table.h"
 
 namespace ndv {
@@ -127,38 +126,6 @@ TEST(BatchHashTest, StringColumnMatchesHashAt) {
   values.push_back("");
   values.push_back(std::string(1000, 'x'));
   ExpectBatchMatchesPerRow(StringColumn(values));
-}
-
-TEST(BatchHashTest, CombinedColumnMatchesHashAt) {
-  Rng rng(53);
-  std::vector<int64_t> ints;
-  std::vector<double> doubles;
-  std::vector<std::string> strings;
-  for (int i = 0; i < 5000; ++i) {
-    ints.push_back(static_cast<int64_t>(rng.NextBounded(100)));
-    doubles.push_back(static_cast<double>(rng.NextBounded(50)));
-    strings.push_back("s" + std::to_string(rng.NextBounded(20)));
-  }
-  const Int64Column a(std::move(ints));
-  const DoubleColumn b(std::move(doubles));
-  const StringColumn c(strings);
-  const CombinedColumn combined({&a, &b, &c});
-  ExpectBatchMatchesPerRow(combined);
-}
-
-TEST(BatchHashTest, CombinedColumnLargerThanCombineBlock) {
-  // Exercise the block-buffered combine path across multiple blocks plus a
-  // ragged tail (block size is 1024 internally).
-  Rng rng(59);
-  std::vector<int64_t> a_vals;
-  std::vector<int64_t> b_vals;
-  for (int i = 0; i < 3 * 1024 + 7; ++i) {
-    a_vals.push_back(static_cast<int64_t>(rng.NextU64()));
-    b_vals.push_back(static_cast<int64_t>(rng.NextU64()));
-  }
-  const Int64Column a(std::move(a_vals));
-  const Int64Column b(std::move(b_vals));
-  ExpectBatchMatchesPerRow(CombinedColumn({&a, &b}));
 }
 
 // --- Blocked (ndvpack v2) columns. -----------------------------------------

@@ -106,25 +106,6 @@ TEST(RealWorldLikeTest, FullSizeRowCounts) {
   EXPECT_EQ(census.NumColumns(), 15);
 }
 
-TEST(RealWorldLikeTest, LineitemShape) {
-  const Table lineitem = MakeLineitemLike(60000);
-  EXPECT_EQ(lineitem.NumRows(), 60000);
-  EXPECT_EQ(lineitem.NumColumns(), 16);
-  // Tiny enums.
-  EXPECT_LE(ExactDistinctHashSet(
-                lineitem.column(lineitem.FindColumn("l_returnflag"))), 3);
-  EXPECT_LE(ExactDistinctHashSet(
-                lineitem.column(lineitem.FindColumn("l_linestatus"))), 2);
-  // Near-unique comment column.
-  EXPECT_EQ(ExactDistinctHashSet(
-                lineitem.column(lineitem.FindColumn("l_comment"))), 60000);
-  // Foreign keys: bounded by domain, mostly realized at this row count.
-  const int64_t suppliers = ExactDistinctHashSet(
-      lineitem.column(lineitem.FindColumn("l_suppkey")));
-  EXPECT_LE(suppliers, 100);
-  EXPECT_GE(suppliers, 80);
-}
-
 TEST(RealWorldLikeTest, DeterministicInSeed) {
   const Table a = MakeCensusLikeScaled(500, 9);
   const Table b = MakeCensusLikeScaled(500, 9);

@@ -55,22 +55,21 @@ TEST(ExpectedDistinctWorTest, SingleDrawIsOne) {
   EXPECT_NEAR(ExpectedDistinctWor(counts, 1), 1.0, 1e-12);
 }
 
-TEST(ExpectedProfileWorTest, IdentitiesHold) {
-  // sum_i i * E[f_i] == r and sum_i E[f_i] == E[d] (when max_freq covers
-  // the largest class).
+TEST(ExpectedFiWorTest, IdentitiesHold) {
+  // sum_i i * E[f_i] == r and sum_i E[f_i] == E[d] when i runs up to r.
   const std::vector<int64_t> counts = {6, 4, 4, 2, 1, 1};
   const int64_t r = 9;
-  const ProfileExpectation expectation = ExpectedProfileWor(counts, r, 9);
   double sum_f = 0.0, sum_if = 0.0;
-  for (size_t i = 0; i < expectation.expected_f.size(); ++i) {
-    sum_f += expectation.expected_f[i];
-    sum_if += static_cast<double>(i + 1) * expectation.expected_f[i];
+  for (int64_t i = 1; i <= r; ++i) {
+    const double f_i = ExpectedFiWor(counts, r, i);
+    sum_f += f_i;
+    sum_if += static_cast<double>(i) * f_i;
   }
-  EXPECT_NEAR(sum_f, expectation.expected_distinct, 1e-10);
+  EXPECT_NEAR(sum_f, ExpectedDistinctWor(counts, r), 1e-10);
   EXPECT_NEAR(sum_if, static_cast<double>(r), 1e-10);
 }
 
-TEST(ExpectedProfileWorTest, MatchesMonteCarloSampling) {
+TEST(ExpectedFiWorTest, MatchesMonteCarloSampling) {
   // The analytic E[d] and E[f1] must match empirical means from the
   // actual sampler within Monte Carlo noise.
   std::vector<int64_t> counts;
@@ -83,7 +82,8 @@ TEST(ExpectedProfileWorTest, MatchesMonteCarloSampling) {
   const Int64Column column(values);
   const int64_t r = 40;
 
-  const ProfileExpectation analytic = ExpectedProfileWor(counts, r, 3);
+  const double expected_d = ExpectedDistinctWor(counts, r);
+  const double expected_f1 = ExpectedFiWor(counts, r, 1);
 
   Rng rng(17);
   RunningStats d_stats, f1_stats;
@@ -94,10 +94,8 @@ TEST(ExpectedProfileWorTest, MatchesMonteCarloSampling) {
     d_stats.Add(static_cast<double>(summary.d()));
     f1_stats.Add(static_cast<double>(summary.f(1)));
   }
-  EXPECT_NEAR(d_stats.mean(), analytic.expected_distinct,
-              0.02 * analytic.expected_distinct);
-  EXPECT_NEAR(f1_stats.mean(), analytic.expected_f[0],
-              0.05 * analytic.expected_f[0] + 0.2);
+  EXPECT_NEAR(d_stats.mean(), expected_d, 0.02 * expected_d);
+  EXPECT_NEAR(f1_stats.mean(), expected_f1, 0.05 * expected_f1 + 0.2);
 }
 
 TEST(GeeExpectedValueWorTest, WithinTheoremTwoWindow) {

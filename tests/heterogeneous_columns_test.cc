@@ -1,6 +1,6 @@
 // Estimation across heterogeneous column types: the estimator stack sees
-// only hashes, so int64, double, dictionary-string, and multi-column tuple
-// views must all behave identically given the same frequency structure.
+// only hashes, so int64, double, and dictionary-string columns must all
+// behave identically given the same frequency structure.
 // Parameterized over (column kind, paper estimator).
 
 #include <memory>
@@ -15,7 +15,6 @@
 #include "datagen/synthetic_table.h"
 #include "datagen/zipf.h"
 #include "table/column_sampling.h"
-#include "table/multi_column.h"
 #include "table/table.h"
 
 namespace ndv {
@@ -24,7 +23,7 @@ namespace {
 // Holds a column of any kind plus its exact distinct count.
 struct ColumnCase {
   std::unique_ptr<Column> column;
-  std::unique_ptr<Table> backing;  // keeps multi-column components alive
+  std::unique_ptr<Table> backing;  // owns the double_normal column
   int64_t actual = 0;
 };
 
@@ -50,13 +49,6 @@ ColumnCase MakeCase(const std::string& kind) {
         std::make_unique<Table>(MakeSyntheticTable(100000, specs, 5));
     // Re-wrap as DoubleColumn semantics via the backing table's column.
     result.actual = ExactDistinctHashSet(result.backing->column(0));
-  } else if (kind == "tuple") {
-    const std::vector<ColumnSpec> specs = {ColumnSpec::Uniform("a", 60),
-                                           ColumnSpec::Zipf("b", 40, 1.0)};
-    result.backing =
-        std::make_unique<Table>(MakeSyntheticTable(100000, specs, 7));
-    result.column = std::make_unique<CombinedColumn>(
-        *result.backing, std::vector<int64_t>{0, 1});
   }
   if (result.column != nullptr) {
     result.actual = ExactDistinctHashSet(*result.column);
@@ -104,7 +96,7 @@ TEST_P(HeterogeneousColumnTest, SanityAndIntervalCoverage) {
 INSTANTIATE_TEST_SUITE_P(
     KindsByEstimators, HeterogeneousColumnTest,
     ::testing::Combine(::testing::Values("int_zipf", "string_emails",
-                                         "double_normal", "tuple"),
+                                         "double_normal"),
                        ::testing::Values("GEE", "AE", "HYBGEE", "HYBSKEW",
                                          "DUJ2A")),
     [](const ::testing::TestParamInfo<std::tuple<std::string, std::string>>&

@@ -17,7 +17,7 @@
 #include "datagen/zipf.h"
 #include "distributed/clock.h"
 #include "serve/protocol.h"
-#include "serve/transport.h"
+#include "support/transport_doubles.h"
 #include "table/table.h"
 
 namespace ndv {

@@ -69,11 +69,6 @@ TEST(StatusOrTest, ArrowOperatorReachesMembers) {
   EXPECT_EQ(result->size(), 5u);
 }
 
-TEST(StatusOrTest, ToOptionalBridgesLegacyCallers) {
-  EXPECT_EQ(StatusOr<int>(7).ToOptional(), std::optional<int>(7));
-  EXPECT_EQ(StatusOr<int>(InternalError("boom")).ToOptional(), std::nullopt);
-}
-
 TEST(StatusOrTest, ValueOnErrorAborts) {
   StatusOr<int> result = UnavailableError("worker down");
   EXPECT_DEATH((void)result.value(), "worker down");
