@@ -34,11 +34,6 @@ uint64_t ReadLittleEndian(const uint8_t* bytes, size_t count) {
   return value;
 }
 
-int64_t SignExtend(uint64_t value, size_t bytes) {
-  const size_t shift = 64 - 8 * bytes;
-  return static_cast<int64_t>(value << shift) >> shift;
-}
-
 // Largest of `count` unsigned little-endian codes of type T.
 template <typename T>
 T MaxCode(const uint8_t* payload, size_t count) {
@@ -372,6 +367,35 @@ Status ValidateCodesBlock(PackBlockCodec codec, uint8_t param, int64_t rows,
 
 // --- Decode. --------------------------------------------------------------
 
+namespace {
+
+// One loop per width, so every load is a fixed-size memcpy and every sign
+// extension a cast: signed T is the delta's two's-complement width.
+template <typename T>
+void PrefixSumDeltas(uint64_t value, int64_t rows, const uint8_t* deltas,
+                     int64_t* out) {
+  for (int64_t i = 1; i < rows; ++i) {
+    T delta;
+    std::memcpy(&delta, deltas + static_cast<size_t>(i - 1) * sizeof(T),
+                sizeof(T));
+    value += static_cast<uint64_t>(static_cast<int64_t>(delta));
+    out[i] = static_cast<int64_t>(value);
+  }
+}
+
+// Unsigned T is the code width.
+template <typename T>
+void WidenCodes(int64_t rows, const uint8_t* payload, int32_t* out) {
+  for (int64_t i = 0; i < rows; ++i) {
+    T code;
+    std::memcpy(&code, payload + static_cast<size_t>(i) * sizeof(T),
+                sizeof(T));
+    out[i] = static_cast<int32_t>(code);
+  }
+}
+
+}  // namespace
+
 void DecodeInt64Block(PackBlockCodec codec, uint8_t param, int64_t rows,
                       const uint8_t* payload, int64_t* out) {
   NDV_DCHECK(rows >= 1);
@@ -380,18 +404,22 @@ void DecodeInt64Block(PackBlockCodec codec, uint8_t param, int64_t rows,
     return;
   }
   NDV_DCHECK(codec == PackBlockCodec::kDelta);
-  uint64_t value = ReadLittleEndian(payload, 8);
-  out[0] = static_cast<int64_t>(value);
-  if (param == 0) {  // Zero-order hold: the whole block equals the base.
-    for (int64_t i = 1; i < rows; ++i) out[i] = out[0];
-    return;
-  }
+  const uint64_t base = ReadLittleEndian(payload, 8);
+  out[0] = static_cast<int64_t>(base);
   const uint8_t* deltas = payload + 8;
-  for (int64_t i = 1; i < rows; ++i) {
-    const uint64_t raw = ReadLittleEndian(
-        deltas + static_cast<size_t>(i - 1) * param, param);
-    value += static_cast<uint64_t>(SignExtend(raw, param));
-    out[i] = static_cast<int64_t>(value);
+  switch (param) {
+    case 0:  // Zero-order hold: the whole block equals the base.
+      std::fill(out + 1, out + rows, out[0]);
+      return;
+    case 1:
+      return PrefixSumDeltas<int8_t>(base, rows, deltas, out);
+    case 2:
+      return PrefixSumDeltas<int16_t>(base, rows, deltas, out);
+    case 4:
+      return PrefixSumDeltas<int32_t>(base, rows, deltas, out);
+    default:
+      NDV_DCHECK(param == 8);
+      return PrefixSumDeltas<int64_t>(base, rows, deltas, out);
   }
 }
 
@@ -403,9 +431,14 @@ void DecodeCodesBlock(PackBlockCodec codec, uint8_t param, int64_t rows,
     return;
   }
   NDV_DCHECK(codec == PackBlockCodec::kDictCodes);
-  for (int64_t i = 0; i < rows; ++i) {
-    out[i] = static_cast<int32_t>(ReadLittleEndian(
-        payload + static_cast<size_t>(i) * param, param));
+  switch (param) {
+    case 1:
+      return WidenCodes<uint8_t>(rows, payload, out);
+    case 2:
+      return WidenCodes<uint16_t>(rows, payload, out);
+    default:
+      NDV_DCHECK(param == 4);
+      return WidenCodes<uint32_t>(rows, payload, out);
   }
 }
 

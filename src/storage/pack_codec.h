@@ -35,7 +35,9 @@ namespace ndv {
 // Validation is split so the hot decode loops carry no data-dependent
 // checks: Validate*Block rejects every malformed block with a typed
 // Status (fuzz_ndvpack_v2 holds that line); Decode*Block then requires a
-// validated block and only DCHECKs.
+// validated block and only DCHECKs. Decode is width-specialized: it
+// switches once per block to a loop for that width, in which every delta
+// or code is one fixed-size load widened by a cast.
 
 enum class PackBlockCodec : uint8_t {
   kRaw = 0,
