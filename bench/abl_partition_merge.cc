@@ -5,6 +5,7 @@
 
 #include "bench_util.h"
 
+#include "common/check.h"
 #include "common/descriptive.h"
 #include "profile/frequency_profile.h"
 #include "sample/partition_merge.h"
@@ -32,7 +33,10 @@ SampleSummary MergedSample(const Column& column, int partitions,
     part.items = reservoir.sample();
     parts.push_back(std::move(part));
   }
-  const auto merged = MergePartitionSamples(std::move(parts), sample_rows, rng);
+  auto merged_or =
+      MergePartitionSamplesOrStatus(std::move(parts), sample_rows, rng);
+  NDV_CHECK_MSG(merged_or.ok(), "%s", merged_or.status().ToString().c_str());
+  const std::vector<uint64_t> merged = *std::move(merged_or);
   SampleSummary summary;
   summary.table_rows = n;
   summary.sample_rows = static_cast<int64_t>(merged.size());

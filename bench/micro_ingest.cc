@@ -72,7 +72,7 @@ const Fixture& GetFixture() {
     f.pack_path = dir + "/ndv_micro_ingest.ndvpack";
 
     const ndv::Table table = MakeTable();
-    NDV_CHECK(ndv::WritePackFile(table, f.pack_path).ok());
+    NDV_CHECK(ndv::WritePackFileV2(table, f.pack_path).ok());
 
     std::string csv = "id,score,label\n";
     csv.reserve(40u * kRows);
@@ -175,7 +175,7 @@ void BM_PackFromCsv(benchmark::State& state) {
   for (auto _ : state) {
     auto table = ndv::LoadTableAuto(fixture.csv_path);
     NDV_CHECK(table.ok());
-    NDV_CHECK(ndv::WritePackFile(*table, out_path).ok());
+    NDV_CHECK(ndv::WritePackFileV2(*table, out_path).ok());
   }
   std::remove(out_path.c_str());
   state.SetItemsProcessed(state.iterations() * kRows);

@@ -1,38 +1,28 @@
-// micro_serving — closed-loop and open-loop load generator for the NDV
-// stats service (src/serve/). Not a google-benchmark binary: latency
-// distributions under concurrency and pacing need a custom harness.
+// Microbenchmarks: the two serving costs perfbench `serve` cannot see
+// (DESIGN.md §13, §14). perfbench times GET_STATS end to end over a
+// loopback socket; these cases take the transport away.
 //
-// Closed loop: `--clients` threads each issue `--requests` GET_STATS
-// requests back to back through StatsService::Submit (the admission-
-// controlled entry point), while a background writer publishes forced
-// re-ANALYZE epochs — so the measured read path includes concurrent epoch
-// publication, the regime the concurrent catalog exists for.
+//   BM_SubmitGetStats          one GET_STATS through StatsService::Submit
+//                              (admission control, catalog snapshot read,
+//                              reply build), no frame codec, no socket.
+//   BM_RecoveryBoot/<records>  DurableCatalog::Open over a journal of
+//                              <records> ANALYZE publications, the boot a
+//                              restarted `ndv_cli serve --wal-dir` pays.
 //
-// Open loop: requests are scheduled at a fixed `--target-qps` and latency
-// is measured from the *scheduled* start, so queueing delay from a slow
-// server is charged to the request (no coordinated omission).
-//
-// Output: human-readable summary on stdout and a JSON report at --out
-// (default BENCH_serving.json) with p50/p95/p99 for both loops.
-//
-//   ./build/bench/micro_serving --rows=100000 --clients=4
-//       --requests=2000 --target-qps=2000 --out=BENCH_serving.json
+//   ./build/bench/micro_serving --benchmark_format=json
 
-#include <algorithm>
-#include <atomic>
-#include <chrono>
 #include <cstdint>
-#include <cstdio>
 #include <cstdlib>
-#include <fstream>
-#include <map>
+#include <filesystem>
 #include <memory>
 #include <string>
-#include <thread>
 #include <utility>
-#include <vector>
+
+#include <benchmark/benchmark.h>
 
 #include "catalog/durable_catalog.h"
+#include "catalog/stats_catalog.h"
+#include "common/check.h"
 #include "datagen/zipf.h"
 #include "serve/protocol.h"
 #include "serve/stats_service.h"
@@ -40,297 +30,100 @@
 
 namespace {
 
-using Clock = std::chrono::steady_clock;
-
-int64_t NowNanos() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             Clock::now().time_since_epoch())
-      .count();
+// A 100k-row Zipf column (z=1, dup 10), built once per process.
+const std::shared_ptr<const ndv::Table>& ZipfTable() {
+  static const std::shared_ptr<const ndv::Table> table = [] {
+    ndv::ZipfColumnOptions column_options;
+    column_options.rows = 100000;
+    column_options.z = 1.0;
+    column_options.dup_factor = 10;
+    ndv::Table zipf;
+    zipf.AddColumn("value", ndv::MakeZipfColumn(column_options));
+    return std::make_shared<const ndv::Table>(std::move(zipf));
+  }();
+  return table;
 }
 
-struct LatencySummary {
-  int64_t count = 0;
-  double qps = 0.0;
-  int64_t p50_ns = 0;
-  int64_t p95_ns = 0;
-  int64_t p99_ns = 0;
-  int64_t max_ns = 0;
-  double mean_ns = 0.0;
-};
-
-int64_t Percentile(const std::vector<int64_t>& sorted, double p) {
-  if (sorted.empty()) return 0;
-  const double rank = p / 100.0 * static_cast<double>(sorted.size() - 1);
-  return sorted[static_cast<size_t>(rank + 0.5)];
+ndv::AnalyzeOptions SampledAnalyze() {
+  ndv::AnalyzeOptions analyze;
+  analyze.sample_fraction = 0.01;
+  analyze.threads = 1;
+  return analyze;
 }
 
-LatencySummary Summarize(std::vector<int64_t> latencies_ns,
-                         int64_t wall_ns) {
-  LatencySummary summary;
-  summary.count = static_cast<int64_t>(latencies_ns.size());
-  if (latencies_ns.empty()) return summary;
-  std::sort(latencies_ns.begin(), latencies_ns.end());
-  summary.p50_ns = Percentile(latencies_ns, 50);
-  summary.p95_ns = Percentile(latencies_ns, 95);
-  summary.p99_ns = Percentile(latencies_ns, 99);
-  summary.max_ns = latencies_ns.back();
-  double total = 0.0;
-  for (const int64_t ns : latencies_ns) total += static_cast<double>(ns);
-  summary.mean_ns = total / static_cast<double>(latencies_ns.size());
-  if (wall_ns > 0) {
-    summary.qps = static_cast<double>(latencies_ns.size()) /
-                  (static_cast<double>(wall_ns) * 1e-9);
-  }
-  return summary;
-}
-
-void PrintSummary(const char* label, const LatencySummary& summary) {
-  std::printf("%s: %lld requests, %.0f qps, p50 %.1f us, p95 %.1f us, "
-              "p99 %.1f us, max %.1f us\n",
-              label, static_cast<long long>(summary.count), summary.qps,
-              static_cast<double>(summary.p50_ns) * 1e-3,
-              static_cast<double>(summary.p95_ns) * 1e-3,
-              static_cast<double>(summary.p99_ns) * 1e-3,
-              static_cast<double>(summary.max_ns) * 1e-3);
-}
-
-void AppendSummaryJson(std::string* json, const LatencySummary& summary) {
-  char buffer[512];
-  std::snprintf(buffer, sizeof(buffer),
-                "{\"requests\": %lld, \"qps\": %.1f, "
-                "\"p50_ns\": %lld, \"p95_ns\": %lld, \"p99_ns\": %lld, "
-                "\"max_ns\": %lld, \"mean_ns\": %.1f}",
-                static_cast<long long>(summary.count), summary.qps,
-                static_cast<long long>(summary.p50_ns),
-                static_cast<long long>(summary.p95_ns),
-                static_cast<long long>(summary.p99_ns),
-                static_cast<long long>(summary.max_ns), summary.mean_ns);
-  json->append(buffer);
-}
-
-ndv::Message GetStatsRequest(const std::string& column) {
+void BM_SubmitGetStats(benchmark::State& state) {
+  ndv::StatsServiceOptions options;
+  options.analyze = SampledAnalyze();
+  ndv::StatsService service(ZipfTable(), options);
   ndv::Message request;
   request.type = ndv::MessageType::kGetStats;
-  request.column = column;
-  return request;
+  request.column = "value";
+  for (auto _ : state) {
+    const ndv::Message reply = service.Submit(request);
+    if (reply.type != ndv::MessageType::kStatsReply) {
+      state.SkipWithError("GET_STATS was not answered with a STATS reply");
+      break;
+    }
+    benchmark::DoNotOptimize(reply);
+  }
 }
+BENCHMARK(BM_SubmitGetStats);
 
-int64_t FlagInt(const std::map<std::string, std::string>& flags,
-                const std::string& name, int64_t fallback) {
-  const auto it = flags.find(name);
-  return it == flags.end() ? fallback : std::stoll(it->second);
+// A fresh mkdtemp directory, removed with its contents on scope exit.
+class TempDir {
+ public:
+  TempDir() {
+    const char* tmpdir = std::getenv("TMPDIR");
+    path_ = std::string(tmpdir != nullptr ? tmpdir : "/tmp") +
+            "/ndv_micro_serving_XXXXXX";
+    NDV_CHECK(::mkdtemp(path_.data()) != nullptr);
+  }
+  TempDir(const TempDir&) = delete;
+  TempDir& operator=(const TempDir&) = delete;
+  ~TempDir() { std::filesystem::remove_all(path_); }
+
+  const std::string& path() const { return path_; }
+
+ private:
+  std::string path_;
+};
+
+// The journal compacts every kSnapshotEvery records, the durable catalog's
+// default. Fewer records boot from the WAL alone; more boot from the newest
+// snapshot plus the WAL tail written after it.
+constexpr int64_t kSnapshotEvery = 1024;
+
+void BM_RecoveryBoot(benchmark::State& state) {
+  const int64_t records = state.range(0);
+  const TempDir dir;
+  const ndv::DurableCatalogOptions options = {
+      .dir = dir.path(), .snapshot_every_records = kSnapshotEvery};
+  {
+    auto writer = ndv::DurableCatalog::Open(options);
+    NDV_CHECK(writer.ok());
+    const ndv::StatsCatalog catalog =
+        ndv::AnalyzeTable(*ZipfTable(), SampledAnalyze());
+    for (int64_t i = 0; i < records; ++i) {
+      NDV_CHECK((*writer)->AppendPublish(catalog).ok());
+    }
+  }
+  ndv::RecoveryInfo recovery;
+  for (auto _ : state) {
+    auto recovered = ndv::DurableCatalog::Open(options);
+    if (!recovered.ok() ||
+        (*recovered)->recovery().epoch != static_cast<uint64_t>(records)) {
+      state.SkipWithError("recovery did not reach the journaled epoch");
+      break;
+    }
+    recovery = (*recovered)->recovery();
+  }
+  state.counters["replayed_records"] =
+      static_cast<double>(recovery.replayed_records);
+  state.counters["skipped_records"] =
+      static_cast<double>(recovery.skipped_records);
 }
+BENCHMARK(BM_RecoveryBoot)->Arg(256)->Arg(1280)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  std::map<std::string, std::string> flags;
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg.rfind("--", 0) != 0) {
-      std::fprintf(stderr, "unexpected argument: %s\n", arg.c_str());
-      return 2;
-    }
-    arg = arg.substr(2);
-    const size_t eq = arg.find('=');
-    if (eq == std::string::npos) {
-      flags[arg] = "true";
-    } else {
-      flags[arg.substr(0, eq)] = arg.substr(eq + 1);
-    }
-  }
-
-  const int64_t rows = FlagInt(flags, "rows", 100000);
-  const int64_t dup = FlagInt(flags, "dup", 10);
-  const int clients = static_cast<int>(FlagInt(flags, "clients", 4));
-  const int64_t requests_per_client = FlagInt(flags, "requests", 2000);
-  const int64_t target_qps = FlagInt(flags, "target-qps", 2000);
-  const int64_t open_loop_requests = FlagInt(flags, "open-requests", 4000);
-  const std::string out_path =
-      flags.count("out") ? flags["out"] : "BENCH_serving.json";
-
-  ndv::ZipfColumnOptions column_options;
-  column_options.rows = rows;
-  column_options.z = 1.0;
-  column_options.dup_factor = dup;
-  ndv::Table table;
-  table.AddColumn("value", ndv::MakeZipfColumn(column_options));
-  auto shared_table = std::make_shared<ndv::Table>(std::move(table));
-
-  // Every publication during the run is journaled to a WAL, so the bench
-  // ends by measuring the crash-recovery path: re-opening the durable
-  // catalog and replaying the journal a restarted server would boot from.
-  const std::string wal_dir =
-      flags.count("wal-dir") ? flags["wal-dir"] : "bench_serving_wal";
-  const int64_t snapshot_every = FlagInt(flags, "snapshot-every", 256);
-  std::system(("rm -rf " + wal_dir).c_str());
-  auto durable_or = ndv::DurableCatalog::Open(
-      {.dir = wal_dir, .snapshot_every_records = snapshot_every});
-  if (!durable_or.ok()) {
-    std::fprintf(stderr, "cannot open durable catalog in %s: %s\n",
-                 wal_dir.c_str(), durable_or.status().ToString().c_str());
-    return 1;
-  }
-  auto durable = std::move(*durable_or);
-
-  ndv::StatsServiceOptions service_options;
-  service_options.analyze.sample_fraction = 0.01;
-  service_options.analyze.threads = 1;
-  service_options.durable = durable.get();
-  ndv::StatsService service(std::move(shared_table), service_options);
-  std::printf("serving 1 column of %lld rows at epoch %llu "
-              "(journaling to %s)\n",
-              static_cast<long long>(rows),
-              static_cast<unsigned long long>(service.epoch()),
-              wal_dir.c_str());
-
-  const ndv::Message get_request = GetStatsRequest("value");
-
-  // ---- Closed loop: `clients` threads, back-to-back requests, with a
-  // writer publishing forced re-ANALYZE epochs throughout.
-  std::atomic<bool> stop_writer{false};
-  std::atomic<int64_t> epochs_published{0};
-  std::thread writer([&] {
-    ndv::Message analyze;
-    analyze.type = ndv::MessageType::kAnalyze;
-    analyze.force = true;
-    while (!stop_writer.load(std::memory_order_acquire)) {
-      const ndv::Message reply = service.Submit(analyze);
-      if (reply.type == ndv::MessageType::kAnalyzeReply) {
-        epochs_published.fetch_add(1, std::memory_order_relaxed);
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    }
-  });
-
-  std::vector<std::vector<int64_t>> per_client(
-      static_cast<size_t>(clients));
-  std::atomic<int64_t> errors{0};
-  const int64_t closed_start = NowNanos();
-  {
-    std::vector<std::thread> threads;
-    threads.reserve(static_cast<size_t>(clients));
-    for (int c = 0; c < clients; ++c) {
-      threads.emplace_back([&, c] {
-        auto& latencies = per_client[static_cast<size_t>(c)];
-        latencies.reserve(static_cast<size_t>(requests_per_client));
-        for (int64_t i = 0; i < requests_per_client; ++i) {
-          const int64_t start = NowNanos();
-          const ndv::Message reply = service.Submit(get_request);
-          latencies.push_back(NowNanos() - start);
-          if (reply.type != ndv::MessageType::kStatsReply) {
-            errors.fetch_add(1, std::memory_order_relaxed);
-          }
-        }
-      });
-    }
-    for (std::thread& thread : threads) thread.join();
-  }
-  const int64_t closed_wall = NowNanos() - closed_start;
-  stop_writer.store(true, std::memory_order_release);
-  writer.join();
-
-  std::vector<int64_t> closed_latencies;
-  for (const auto& latencies : per_client) {
-    closed_latencies.insert(closed_latencies.end(), latencies.begin(),
-                            latencies.end());
-  }
-  const LatencySummary closed = Summarize(std::move(closed_latencies),
-                                          closed_wall);
-  PrintSummary("closed-loop", closed);
-  std::printf("  %lld epochs published concurrently, %lld non-OK replies\n",
-              static_cast<long long>(epochs_published.load()),
-              static_cast<long long>(errors.load()));
-
-  // ---- Open loop: fixed arrival schedule at target QPS; latency runs
-  // from the scheduled start, so server-side stalls surface as queueing
-  // delay instead of silently thinning the arrival rate.
-  const int64_t interval_ns =
-      target_qps > 0 ? 1000000000 / target_qps : 0;
-  std::vector<int64_t> open_latencies;
-  open_latencies.reserve(static_cast<size_t>(open_loop_requests));
-  int64_t open_errors = 0;
-  const int64_t open_start = NowNanos();
-  for (int64_t i = 0; i < open_loop_requests; ++i) {
-    const int64_t scheduled = open_start + i * interval_ns;
-    while (NowNanos() < scheduled) {
-      // Sub-millisecond pacing: spin rather than oversleep.
-      std::this_thread::yield();
-    }
-    const ndv::Message reply = service.Submit(get_request);
-    open_latencies.push_back(NowNanos() - scheduled);
-    if (reply.type != ndv::MessageType::kStatsReply) ++open_errors;
-  }
-  const int64_t open_wall = NowNanos() - open_start;
-  const LatencySummary open = Summarize(std::move(open_latencies),
-                                        open_wall);
-  PrintSummary("open-loop", open);
-  std::printf("  target %lld qps, %lld non-OK replies\n",
-              static_cast<long long>(target_qps),
-              static_cast<long long>(open_errors));
-
-  // ---- Recovery: boot a fresh catalog from the journal the run just
-  // wrote (the writer is quiescent, so the on-disk store is stable). This
-  // is exactly what `ndv_cli serve --wal-dir` does on restart; boot time
-  // covers snapshot load + WAL replay.
-  auto recovered_or = ndv::DurableCatalog::Open(
-      {.dir = wal_dir, .snapshot_every_records = snapshot_every});
-  if (!recovered_or.ok()) {
-    std::fprintf(stderr, "recovery failed: %s\n",
-                 recovered_or.status().ToString().c_str());
-    return 1;
-  }
-  const ndv::RecoveryInfo recovery = (*recovered_or)->recovery();
-  std::printf("recovery: epoch %llu in %.3f ms (%lld snapshot entries, "
-              "%lld WAL records replayed, %lld skipped)\n",
-              static_cast<unsigned long long>(recovery.epoch),
-              recovery.boot_millis,
-              static_cast<long long>(recovery.snapshot_entries),
-              static_cast<long long>(recovery.replayed_records),
-              static_cast<long long>(recovery.skipped_records));
-
-  std::string json = "{\n  \"config\": {";
-  {
-    char buffer[512];
-    std::snprintf(buffer, sizeof(buffer),
-                  "\"rows\": %lld, \"dup_factor\": %lld, \"clients\": %d, "
-                  "\"requests_per_client\": %lld, \"target_qps\": %lld, "
-                  "\"open_loop_requests\": %lld, \"epochs_published\": "
-                  "%lld}",
-                  static_cast<long long>(rows),
-                  static_cast<long long>(dup), clients,
-                  static_cast<long long>(requests_per_client),
-                  static_cast<long long>(target_qps),
-                  static_cast<long long>(open_loop_requests),
-                  static_cast<long long>(epochs_published.load()));
-    json.append(buffer);
-  }
-  json.append(",\n  \"closed_loop\": ");
-  AppendSummaryJson(&json, closed);
-  json.append(",\n  \"open_loop\": ");
-  AppendSummaryJson(&json, open);
-  json.append(",\n  \"recovery\": ");
-  {
-    char buffer[512];
-    std::snprintf(buffer, sizeof(buffer),
-                  "{\"boot_ms\": %.3f, \"epoch\": %llu, "
-                  "\"snapshot_entries\": %lld, \"replayed_records\": %lld, "
-                  "\"skipped_records\": %lld}",
-                  recovery.boot_millis,
-                  static_cast<unsigned long long>(recovery.epoch),
-                  static_cast<long long>(recovery.snapshot_entries),
-                  static_cast<long long>(recovery.replayed_records),
-                  static_cast<long long>(recovery.skipped_records));
-    json.append(buffer);
-  }
-  json.append("\n}\n");
-
-  std::ofstream out(out_path);
-  if (!out) {
-    std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
-    return 1;
-  }
-  out << json;
-  std::printf("report written to %s\n", out_path.c_str());
-  return 0;
-}
+BENCHMARK_MAIN();

@@ -92,9 +92,9 @@ Status FsyncDirOf(const std::string& path) {
   } else {
     const size_t slash = path.rfind('/');
     if (slash == std::string::npos) {
-      dir = ".";
+      dir.assign(1, '.');
     } else if (slash == 0) {
-      dir = "/";
+      dir.assign(1, '/');
     } else {
       dir = path.substr(0, slash);
     }

@@ -36,11 +36,4 @@ std::vector<std::unique_ptr<Estimator>> MakeBaselineEstimators() {
   return estimators;
 }
 
-std::unique_ptr<Estimator> MakeBaselineEstimator(std::string_view name) {
-  for (auto& estimator : MakeBaselineEstimators()) {
-    if (estimator->name() == name) return std::move(estimator);
-  }
-  return nullptr;
-}
-
 }  // namespace ndv

@@ -13,10 +13,6 @@ namespace ndv {
 // MakeAllEstimators() there returns the combined set.
 std::vector<std::unique_ptr<Estimator>> MakeBaselineEstimators();
 
-// Creates a single baseline estimator by its name() string, or nullptr when
-// unknown.
-std::unique_ptr<Estimator> MakeBaselineEstimator(std::string_view name);
-
 }  // namespace ndv
 
 #endif  // NDV_ESTIMATORS_REGISTRY_H_

@@ -89,12 +89,4 @@ StatusOr<std::vector<uint64_t>> MergePartitionSamplesOrStatus(
   return merged;
 }
 
-std::vector<uint64_t> MergePartitionSamples(
-    std::vector<PartitionSample> partitions, int64_t target, Rng& rng) {
-  auto merged =
-      MergePartitionSamplesOrStatus(std::move(partitions), target, rng);
-  NDV_CHECK_MSG(merged.ok(), "%s", merged.status().ToString().c_str());
-  return std::move(merged).value();
-}
-
 }  // namespace ndv

@@ -12,7 +12,7 @@ namespace ndv {
 // Distributed / partitioned sampling: a large table is split across
 // partitions (shards, workers, files); each partition returns a uniform
 // without-replacement sample of its own rows (e.g. from a reservoir).
-// MergePartitionSamples combines them into a single uniform
+// MergePartitionSamplesOrStatus combines them into a single uniform
 // without-replacement sample of the WHOLE table — the ingredient a
 // parallel ANALYZE needs.
 //
@@ -29,11 +29,11 @@ struct PartitionSample {
                                  // (value hashes or row payloads)
 };
 
-// Checks the preconditions MergePartitionSamples documents for partition
-// index `index` (used only in diagnostics): population >= 0, sample no
-// larger than its population, and sample large enough to serve any
-// hypergeometric allocation (>= min(target, population) items — the common
-// way to guarantee this is a reservoir of capacity >= target). Returns
+// Checks the preconditions MergePartitionSamplesOrStatus documents for
+// partition index `index` (used only in diagnostics): population >= 0,
+// sample no larger than its population, and sample large enough to serve
+// any hypergeometric allocation (>= min(target, population) items — the
+// common way to guarantee this is a reservoir of capacity >= target). Returns
 // InvalidArgument/DataLoss describing the first violation. The distributed
 // coordinator uses this to classify a worker reply as corrupt before
 // merging.
@@ -47,11 +47,6 @@ Status ValidatePartitionSample(const PartitionSample& partition,
 // non-uniform or out-of-bounds merge. Deterministic in `rng`; the rng is
 // only advanced on success. The result order is unspecified.
 StatusOr<std::vector<uint64_t>> MergePartitionSamplesOrStatus(
-    std::vector<PartitionSample> partitions, int64_t target, Rng& rng);
-
-// Aborting wrapper kept for callers that treat violations as programming
-// errors (tests, examples with locally-constructed inputs).
-std::vector<uint64_t> MergePartitionSamples(
     std::vector<PartitionSample> partitions, int64_t target, Rng& rng);
 
 }  // namespace ndv

@@ -4,8 +4,8 @@
 #include <utility>
 
 #include "storage/mapped_file.h"
+#include "storage/pack_codec.h"
 #include "storage/pack_reader.h"
-#include "storage/pack_writer.h"
 
 namespace ndv {
 
@@ -17,12 +17,6 @@ static_assert(std::endian::native == std::endian::little,
 bool StartsWithPackMagic(std::string_view head) {
   return head.starts_with(kPackMagic) || head.starts_with(kPackV2Magic) ||
          head.starts_with(kPackV1Magic);
-}
-
-Status WritePackFile(const Table& table, const std::string& path) {
-  // Streamed through the bounded-memory writer, which carries its own
-  // temp + fsync + rename.
-  return WritePackFileV2(table, path);
 }
 
 StatusOr<Table> OpenPackFile(const std::string& path) {

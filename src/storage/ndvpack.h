@@ -20,10 +20,6 @@ namespace ndv {
 // rejected with a typed error naming its version instead of falling
 // through to the CSV parser.
 
-// Serializes `table` to `path` as ndvpack v3 with auto codec selection
-// (storage/pack_writer.h). Overwrites an existing file atomically.
-Status WritePackFile(const Table& table, const std::string& path);
-
 // Maps `path` and returns its table of block-granular columns. A v1 or v2
 // file fails with InvalidArgument naming its version as unsupported; any
 // other malformed input fails with a typed Status. Errors name the path.

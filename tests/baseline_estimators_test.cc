@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/all_estimators.h"
 #include "estimators/coverage.h"
 #include "estimators/goodman.h"
 #include "estimators/jackknife.h"
@@ -283,9 +284,9 @@ TEST(RegistryTest, AllBaselinesConstructibleAndNamed) {
 }
 
 TEST(RegistryTest, LookupByName) {
-  EXPECT_NE(MakeBaselineEstimator("Shlosser"), nullptr);
-  EXPECT_NE(MakeBaselineEstimator("HYBSKEW"), nullptr);
-  EXPECT_EQ(MakeBaselineEstimator("NotAnEstimator"), nullptr);
+  EXPECT_NE(MakeEstimatorByName("Shlosser"), nullptr);
+  EXPECT_NE(MakeEstimatorByName("HYBSKEW"), nullptr);
+  EXPECT_EQ(MakeEstimatorByName("NotAnEstimator"), nullptr);
 }
 
 }  // namespace

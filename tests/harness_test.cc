@@ -161,7 +161,7 @@ TEST(RunTableSweepTest, ParallelExecutionMatchesSerial) {
     for (int c = 0; c < 6; ++c) {
       options.z = static_cast<double>(c % 3);
       options.seed = static_cast<uint64_t>(c) + 1;
-      table.AddColumn("c" + std::to_string(c), MakeZipfColumn(options));
+      table.AddColumn('c' + std::to_string(c), MakeZipfColumn(options));
     }
   }
   auto estimators = MakePaperComparisonEstimators();

@@ -20,6 +20,7 @@
 #include "catalog/stats_catalog.h"
 #include "common/random.h"
 #include "storage/ndvpack.h"
+#include "storage/pack_writer.h"
 #include "storage/table_loader.h"
 #include "table/csv.h"
 #include "table/table.h"
@@ -76,7 +77,7 @@ std::string TempPath(const std::string& name) {
 // fixed point by PackV2Test.RepackIsAFixedPoint.
 Table WriteAndOpen(const Table& table, const std::string& name) {
   const std::string path = TempPath(name);
-  const Status written = WritePackFile(table, path);
+  const Status written = WritePackFileV2(table, path);
   EXPECT_TRUE(written.ok()) << written.ToString();
   auto opened = OpenPackFile(path);
   EXPECT_TRUE(opened.ok()) << opened.status().ToString();
@@ -105,7 +106,7 @@ TEST(NdvPackTest, CsvToPackToOpenEqualsHeapColumns) {
   ASSERT_EQ(heap->column(2).type(), ColumnType::kString);
 
   const std::string path = TempPath("csv_roundtrip.ndvpack");
-  ASSERT_TRUE(WritePackFile(*heap, path).ok());
+  ASSERT_TRUE(WritePackFileV2(*heap, path).ok());
   const auto mapped = OpenPackFile(path);
   ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
   ExpectTablesEqual(*heap, *mapped);
@@ -128,7 +129,7 @@ TEST(NdvPackTest, AnalyzeTableBitIdenticalHeapVsPackAtAnyThreadCount) {
     ints.push_back(static_cast<int64_t>(rng.NextBounded(512)));
     doubles.push_back(
         static_cast<double>(rng.NextBounded(97)) / 8.0);
-    strings.push_back("v" + std::to_string(rng.NextBounded(300)));
+    strings.push_back('v' + std::to_string(rng.NextBounded(300)));
   }
   Table heap;
   heap.AddColumn("i", std::make_unique<Int64Column>(std::move(ints)));
@@ -136,7 +137,7 @@ TEST(NdvPackTest, AnalyzeTableBitIdenticalHeapVsPackAtAnyThreadCount) {
   heap.AddColumn("s", std::make_unique<StringColumn>(strings));
 
   const std::string path = TempPath("analyze_invariance.ndvpack");
-  ASSERT_TRUE(WritePackFile(heap, path).ok());
+  ASSERT_TRUE(WritePackFileV2(heap, path).ok());
   const auto mapped = OpenPackFile(path);
   ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
 
@@ -172,7 +173,7 @@ TEST(NdvPackTest, ExactDistinctMatchesAcrossStorage) {
 TEST(NdvPackTest, LoadTableAutoDetectsBothFormats) {
   const Table table = MakeMixedTable();
   const std::string pack_path = TempPath("auto_detect.ndvpack");
-  ASSERT_TRUE(WritePackFile(table, pack_path).ok());
+  ASSERT_TRUE(WritePackFileV2(table, pack_path).ok());
   const auto from_pack = LoadTableAuto(pack_path);
   ASSERT_TRUE(from_pack.ok()) << from_pack.status().ToString();
   ExpectTablesEqual(table, *from_pack);

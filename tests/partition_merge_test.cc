@@ -60,11 +60,12 @@ TEST(MergePartitionSamplesTest, SizeAndMembership) {
   std::vector<PartitionSample> partitions;
   partitions.push_back(FullPartition(0, 50));
   partitions.push_back(FullPartition(1000, 30));
-  const auto merged = MergePartitionSamples(partitions, 40, rng);
-  EXPECT_EQ(merged.size(), 40u);
-  std::set<uint64_t> unique(merged.begin(), merged.end());
+  const auto merged = MergePartitionSamplesOrStatus(partitions, 40, rng);
+  ASSERT_TRUE(merged.ok()) << merged.status().ToString();
+  EXPECT_EQ(merged->size(), 40u);
+  std::set<uint64_t> unique(merged->begin(), merged->end());
   EXPECT_EQ(unique.size(), 40u);  // No duplicates.
-  for (uint64_t item : merged) {
+  for (uint64_t item : *merged) {
     EXPECT_TRUE(item < 50 || (item >= 1000 && item < 1030));
   }
 }
@@ -79,7 +80,9 @@ TEST(MergePartitionSamplesTest, AllocationIsProportional) {
     std::vector<PartitionSample> partitions;
     partitions.push_back(FullPartition(0, 80));
     partitions.push_back(FullPartition(1000, 20));
-    for (uint64_t item : MergePartitionSamples(partitions, 10, rng)) {
+    const auto merged = MergePartitionSamplesOrStatus(partitions, 10, rng);
+    ASSERT_TRUE(merged.ok()) << merged.status().ToString();
+    for (uint64_t item : *merged) {
       if (item < 80) ++from_a;
     }
   }
@@ -96,7 +99,9 @@ TEST(MergePartitionSamplesTest, PerItemInclusionIsUniform) {
     std::vector<PartitionSample> partitions;
     partitions.push_back(FullPartition(0, 12));
     partitions.push_back(FullPartition(100, 8));
-    for (uint64_t item : MergePartitionSamples(partitions, 5, rng)) {
+    const auto merged = MergePartitionSamplesOrStatus(partitions, 5, rng);
+    ASSERT_TRUE(merged.ok()) << merged.status().ToString();
+    for (uint64_t item : *merged) {
       ++counts[item];
     }
   }
@@ -122,48 +127,20 @@ TEST(MergePartitionSamplesTest, WorksWithReservoirInputs) {
     partition.items = reservoir.sample();
     partitions.push_back(std::move(partition));
   }
-  const auto merged = MergePartitionSamples(partitions, 64, rng);
-  EXPECT_EQ(merged.size(), 64u);
-  std::set<uint64_t> unique(merged.begin(), merged.end());
+  const auto merged = MergePartitionSamplesOrStatus(partitions, 64, rng);
+  ASSERT_TRUE(merged.ok()) << merged.status().ToString();
+  EXPECT_EQ(merged->size(), 64u);
+  std::set<uint64_t> unique(merged->begin(), merged->end());
   EXPECT_EQ(unique.size(), 64u);
-}
-
-TEST(MergePartitionSamplesTest, RejectsUndersizedPartitionSamples) {
-  Rng rng(8);
-  std::vector<PartitionSample> partitions;
-  PartitionSample starved;
-  starved.population = 100;
-  starved.items = {1, 2, 3};  // Only 3 sampled of 100: cannot serve 10.
-  partitions.push_back(std::move(starved));
-  EXPECT_DEATH(MergePartitionSamples(partitions, 10, rng), "too small");
-}
-
-TEST(MergePartitionSamplesTest, RejectsOversizedTarget) {
-  Rng rng(9);
-  std::vector<PartitionSample> partitions;
-  partitions.push_back(FullPartition(0, 5));
-  EXPECT_DEATH(MergePartitionSamples(partitions, 6, rng), "more rows");
 }
 
 TEST(MergePartitionSamplesTest, ZeroTarget) {
   Rng rng(10);
   std::vector<PartitionSample> partitions;
   partitions.push_back(FullPartition(0, 5));
-  EXPECT_TRUE(MergePartitionSamples(partitions, 0, rng).empty());
-}
-
-TEST(MergePartitionSamplesOrStatusTest, MatchesAbortingWrapperOnValidInput) {
-  Rng rng_a(11);
-  Rng rng_b(11);
-  std::vector<PartitionSample> partitions_a;
-  partitions_a.push_back(FullPartition(0, 50));
-  partitions_a.push_back(FullPartition(1000, 30));
-  std::vector<PartitionSample> partitions_b = partitions_a;
-  const auto via_status =
-      MergePartitionSamplesOrStatus(std::move(partitions_a), 40, rng_a);
-  ASSERT_TRUE(via_status.ok());
-  EXPECT_EQ(*via_status, MergePartitionSamples(std::move(partitions_b), 40,
-                                               rng_b));
+  const auto merged = MergePartitionSamplesOrStatus(partitions, 0, rng);
+  ASSERT_TRUE(merged.ok()) << merged.status().ToString();
+  EXPECT_TRUE(merged->empty());
 }
 
 TEST(MergePartitionSamplesOrStatusTest, UndersizedSampleIsDataLoss) {
