@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <memory>
 #include <span>
 #include <string>
@@ -130,6 +131,30 @@ void BM_PackChecksum(benchmark::State& state) {
                           static_cast<int64_t>(bytes.size()));
 }
 BENCHMARK(BM_PackChecksum)->Unit(benchmark::kMillisecond);
+
+// The floor under BM_PackChecksum: an XOR-fold of the same mapped bytes, a
+// read at memory speed with no checksum work. The Release CI job bounds
+// the checksum's median by a multiple of this one's.
+void BM_PackReadReference(benchmark::State& state) {
+  const Fixture& fixture = GetFixture();
+  auto file = ndv::MappedFile::Open(fixture.pack_path);
+  NDV_CHECK(file.ok());
+  const std::span<const uint8_t> bytes = (*file)->bytes();
+  for (auto _ : state) {
+    uint64_t fold = 0;
+    size_t i = 0;
+    for (; i + 8 <= bytes.size(); i += 8) {
+      uint64_t word;
+      std::memcpy(&word, bytes.data() + i, sizeof(word));
+      fold ^= word;
+    }
+    for (; i < bytes.size(); ++i) fold ^= bytes[i];
+    benchmark::DoNotOptimize(fold);
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<int64_t>(bytes.size()));
+}
+BENCHMARK(BM_PackReadReference)->Unit(benchmark::kMillisecond);
 
 // --------------------------------------------------------------------------
 // Time-to-first-estimate: load + full ANALYZE of every column. This is the

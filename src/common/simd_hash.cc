@@ -1,11 +1,14 @@
 #include "common/simd_hash.h"
 
+#include <array>
+#include <bit>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 
 #include "common/check.h"
 #include "common/random.h"
+#include "common/simd_hash_internal.h"
 #include "table/column.h"
 
 #if defined(__aarch64__) && defined(__ARM_NEON)
@@ -15,21 +18,11 @@
 
 namespace ndv {
 
-// AVX2 kernels live in simd_hash_avx2.cc, compiled with -mavx2 in its own
-// translation unit so the rest of the binary stays baseline-ISA. They are
-// only ever called after a runtime CPUID check.
+// AVX2 kernels live in simd_hash_avx2.cc, compiled with -mavx2 -mpclmul in
+// its own translation unit so the rest of the binary stays baseline-ISA.
+// They are only ever called after a runtime CPUID check.
 #if defined(__x86_64__)
 #define NDV_HAVE_AVX2_TU 1
-namespace simd_internal {
-void HashInt64SpanAvx2(const int64_t* values, size_t count, uint64_t* out);
-void HashDoubleSpanAvx2(const double* values, size_t count, uint64_t* out);
-void HashInt64GatherAvx2(const int64_t* base, const int64_t* rows,
-                         size_t count, uint64_t* out);
-void HashDoubleGatherAvx2(const double* base, const int64_t* rows,
-                          size_t count, uint64_t* out);
-void HashLookupCodes32Avx2(const int32_t* codes, const uint64_t* lut,
-                           size_t count, uint64_t* out);
-}  // namespace simd_internal
 #endif
 
 namespace {
@@ -67,6 +60,34 @@ void HashLookupCodes32Scalar(const int32_t* codes, const uint64_t* lut,
   }
 }
 
+// --- CRC-64/NVME slicing-by-8 table. -------------------------------------
+// kCrcTables[0][b] advances the register over one byte b; kCrcTables[k][b]
+// over b followed by k zero bytes, so eight lookups advance it a word.
+
+using CrcTables = std::array<std::array<uint64_t, 256>, 8>;
+
+constexpr CrcTables MakeCrcTables() {
+  CrcTables tables{};
+  for (uint64_t b = 0; b < 256; ++b) {
+    uint64_t crc = b;
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc & 1) != 0
+                ? (crc >> 1) ^ simd_internal::kCrc64NvmePolyReflected
+                : crc >> 1;
+    }
+    tables[0][b] = crc;
+  }
+  for (size_t k = 1; k < tables.size(); ++k) {
+    for (size_t b = 0; b < 256; ++b) {
+      const uint64_t prev = tables[k - 1][b];
+      tables[k][b] = (prev >> 8) ^ tables[0][prev & 0xff];
+    }
+  }
+  return tables;
+}
+
+constexpr CrcTables kCrcTables = MakeCrcTables();
+
 // --- NEON: vectorized double canonicalization, scalar mixing. -------------
 // aarch64 NEON has no 64x64 vector multiply, so the Hash64 mix stays
 // scalar; the win is the branch-free canonicalization of -0.0 / NaN.
@@ -94,12 +115,8 @@ void HashDoubleSpanNeon(const double* values, size_t count, uint64_t* out) {
 #endif
 
 SimdLevel DetectWidestLevel() {
-#if defined(NDV_HAVE_AVX2_TU)
-  if (__builtin_cpu_supports("avx2")) return SimdLevel::kAvx2;
-#endif
-#if defined(NDV_HAVE_NEON)
-  return SimdLevel::kNeon;
-#endif
+  if (SimdLevelAvailable(SimdLevel::kAvx2)) return SimdLevel::kAvx2;
+  if (SimdLevelAvailable(SimdLevel::kNeon)) return SimdLevel::kNeon;
   return SimdLevel::kScalar;
 }
 
@@ -144,7 +161,8 @@ bool SimdLevelAvailable(SimdLevel level) {
       return true;
     case SimdLevel::kAvx2:
 #if defined(NDV_HAVE_AVX2_TU)
-      return __builtin_cpu_supports("avx2") != 0;
+      return __builtin_cpu_supports("avx2") != 0 &&
+             __builtin_cpu_supports("pclmul") != 0;
 #else
       return false;
 #endif
@@ -270,6 +288,20 @@ void HashLookupCodes32At(SimdLevel level, const int32_t* codes,
   }
 }
 
+uint64_t Crc64NvmeUpdateAt(SimdLevel level, uint64_t crc,
+                           const uint8_t* bytes, size_t count) {
+  NDV_CHECK_MSG(SimdLevelAvailable(level), "SIMD level %s unavailable",
+                SimdLevelName(level));
+  switch (level) {
+#if defined(NDV_HAVE_AVX2_TU)
+    case SimdLevel::kAvx2:
+      return simd_internal::Crc64NvmeUpdateAvx2(crc, bytes, count);
+#endif
+    default:
+      return simd_internal::Crc64NvmeUpdateTable(crc, bytes, count);
+  }
+}
+
 // --- Dispatching entry points. --------------------------------------------
 
 void HashInt64Span(const int64_t* values, size_t count, uint64_t* out) {
@@ -294,5 +326,33 @@ void HashLookupCodes32(const int32_t* codes, const uint64_t* lut,
                        size_t count, uint64_t* out) {
   HashLookupCodes32At(ActiveSimdLevel(), codes, lut, count, out);
 }
+
+uint64_t Crc64NvmeUpdate(uint64_t crc, const uint8_t* bytes, size_t count) {
+  return Crc64NvmeUpdateAt(ActiveSimdLevel(), crc, bytes, count);
+}
+
+namespace simd_internal {
+
+uint64_t Crc64NvmeUpdateTable(uint64_t crc, const uint8_t* bytes,
+                              size_t count) {
+  static_assert(std::endian::native == std::endian::little,
+                "the word loop reads the message little-endian");
+  const CrcTables& t = kCrcTables;
+  for (; count >= 8; bytes += 8, count -= 8) {
+    uint64_t word;
+    std::memcpy(&word, bytes, sizeof(word));
+    crc ^= word;
+    crc = t[7][crc & 0xff] ^ t[6][(crc >> 8) & 0xff] ^
+          t[5][(crc >> 16) & 0xff] ^ t[4][(crc >> 24) & 0xff] ^
+          t[3][(crc >> 32) & 0xff] ^ t[2][(crc >> 40) & 0xff] ^
+          t[1][(crc >> 48) & 0xff] ^ t[0][crc >> 56];
+  }
+  for (; count > 0; ++bytes, --count) {
+    crc = t[0][(crc ^ *bytes) & 0xff] ^ (crc >> 8);
+  }
+  return crc;
+}
+
+}  // namespace simd_internal
 
 }  // namespace ndv

@@ -8,7 +8,8 @@
 namespace ndv {
 
 // Runtime-dispatched batch hash kernels — the vector lanes under the
-// Column::HashSlice / HashRange virtuals (DESIGN.md §15).
+// Column::HashSlice / HashRange virtuals — and the CRC-64/NVME kernel under
+// the ndvpack checksum (DESIGN.md §15).
 //
 // Every kernel is bit-identical to the scalar reference at every input:
 // the AVX2 path computes the exact Hash64 mix (the 64x64 multiply is
@@ -27,7 +28,7 @@ namespace ndv {
 
 enum class SimdLevel {
   kScalar = 0,
-  kAvx2 = 1,  // x86-64 AVX2: 4 lanes of 64-bit mixing
+  kAvx2 = 1,  // x86-64 AVX2 + PCLMULQDQ: 4 lanes of 64-bit mixing, CRC fold
   kNeon = 2,  // aarch64 NEON: vector canonicalization, scalar mixing
 };
 
@@ -67,6 +68,14 @@ void HashDoubleGather(const double* base, const int64_t* rows, size_t count,
 void HashLookupCodes32(const int32_t* codes, const uint64_t* lut,
                        size_t count, uint64_t* out);
 
+// CRC-64/NVME (poly 0xAD93D23594C93659, reflected): advances the raw
+// register `crc` over `count` bytes and returns it. The caller applies the
+// all-ones init and xorout, so a stream can be fed in any chunking. The
+// scalar and NEON levels use a slicing-by-8 table; AVX2 folds 64 bytes at
+// a time with carry-less multiplies and finishes with the table, which
+// makes it equal to the table path by construction.
+uint64_t Crc64NvmeUpdate(uint64_t crc, const uint8_t* bytes, size_t count);
+
 // --- Explicit-level kernels (tests / benches). ----------------------------
 // Requires SimdLevelAvailable(level); an unavailable level aborts.
 
@@ -80,6 +89,10 @@ void HashDoubleGatherAt(SimdLevel level, const double* base,
                         const int64_t* rows, size_t count, uint64_t* out);
 void HashLookupCodes32At(SimdLevel level, const int32_t* codes,
                          const uint64_t* lut, size_t count, uint64_t* out);
+// Test-only: the bit-identity reference that pins the PCLMUL fold to the
+// table in one process.
+uint64_t Crc64NvmeUpdateAt(SimdLevel level, uint64_t crc,
+                           const uint8_t* bytes, size_t count);
 
 }  // namespace ndv
 

@@ -1,7 +1,8 @@
-// AVX2 batch-hash kernels (4 x 64-bit lanes). This translation unit is the
-// only one compiled with -mavx2; it is reached exclusively through the
-// runtime dispatch in simd_hash.cc after a CPUID check, so the rest of the
-// binary keeps its baseline ISA.
+// AVX2 batch-hash kernels (4 x 64-bit lanes) and the PCLMULQDQ CRC-64/NVME
+// fold. This translation unit is the only one compiled with -mavx2
+// -mpclmul; it is reached exclusively through the runtime dispatch in
+// simd_hash.cc after a CPUID check, so the rest of the binary keeps its
+// baseline ISA.
 //
 // Bit-identity with the scalar kernels is the contract (DESIGN.md §15):
 //   - Hash64's two 64x64 multiplies are synthesized from _mm256_mul_epu32
@@ -11,6 +12,9 @@
 //     magnitude zero (+0.0 / -0.0) becomes the +0.0 word, any magnitude
 //     above the infinity pattern (i.e. every NaN payload, signed or not)
 //     becomes the canonical quiet NaN word.
+//   - The CRC fold only replaces 128 message bits by a congruent 128 bits
+//     further on (mod P); the table finishes the last 16 folded bytes and
+//     the tail, so the register it returns is the table's.
 
 #if defined(__x86_64__)
 
@@ -20,6 +24,7 @@
 #include <cstdint>
 
 #include "common/random.h"
+#include "common/simd_hash_internal.h"
 #include "common/value_hash.h"
 
 namespace ndv {
@@ -71,6 +76,39 @@ inline __m256i CanonicalizeDoubleBits(__m256i bits) {
   // 64-bit compare is an unsigned compare here.
   const __m256i nan_mask = _mm256_cmpgt_epi64(abs, inf_bits);
   return _mm256_blendv_epi8(bits, qnan_bits, nan_mask);
+}
+
+// Fold constants for moving a 128-bit chunk D bits further on. A loaded
+// chunk holds message bit j at register bit j, i.e. the coefficient of
+// x^(127 - j): its low qword is the high half H, its high qword the low
+// half L, and X * x^D = H * x^(D+64) + L * x^D. A reflected carry-less
+// multiply of two qwords yields their product times x, hence the -1.
+struct FoldConstants {
+  uint64_t high_half;  // x^(D+63) mod P
+  uint64_t low_half;   // x^(D-1) mod P
+};
+
+constexpr FoldConstants FoldBy(int distance_bits) {
+  return {Crc64NvmeXPowModP(distance_bits + 63),
+          Crc64NvmeXPowModP(distance_bits - 1)};
+}
+
+constexpr FoldConstants kFold512 = FoldBy(512);
+constexpr FoldConstants kFold128 = FoldBy(128);
+
+inline __m128i FoldRegister(FoldConstants k) {
+  return _mm_set_epi64x(static_cast<long long>(k.low_half),
+                        static_cast<long long>(k.high_half));
+}
+
+// A chunk moved onto the chunk `k`'s distance ahead, before the XOR.
+inline __m128i Fold(__m128i chunk, __m128i k) {
+  return _mm_xor_si128(_mm_clmulepi64_si128(chunk, k, 0x00),
+                       _mm_clmulepi64_si128(chunk, k, 0x11));
+}
+
+inline __m128i Load128(const uint8_t* bytes) {
+  return _mm_loadu_si128(reinterpret_cast<const __m128i*>(bytes));
 }
 
 }  // namespace
@@ -136,6 +174,41 @@ void HashLookupCodes32Avx2(const int32_t* codes, const uint64_t* lut,
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i), v);
   }
   for (; i < count; ++i) out[i] = lut[static_cast<uint32_t>(codes[i])];
+}
+
+uint64_t Crc64NvmeUpdateAvx2(uint64_t crc, const uint8_t* bytes,
+                             size_t count) {
+  if (count < 64) return Crc64NvmeUpdateTable(crc, bytes, count);
+  // Four independent 128-bit accumulators, each folded 512 bits ahead per
+  // step, so four multiply chains overlap. The register enters the fold as
+  // an XOR into the first 8 message bytes, which is what the table does.
+  const __m128i k512 = FoldRegister(kFold512);
+  const __m128i k128 = FoldRegister(kFold128);
+  __m128i x0 = _mm_xor_si128(Load128(bytes),
+                             _mm_cvtsi64_si128(static_cast<long long>(crc)));
+  __m128i x1 = Load128(bytes + 16);
+  __m128i x2 = Load128(bytes + 32);
+  __m128i x3 = Load128(bytes + 48);
+  bytes += 64;
+  count -= 64;
+  for (; count >= 64; bytes += 64, count -= 64) {
+    x0 = _mm_xor_si128(Fold(x0, k512), Load128(bytes));
+    x1 = _mm_xor_si128(Fold(x1, k512), Load128(bytes + 16));
+    x2 = _mm_xor_si128(Fold(x2, k512), Load128(bytes + 32));
+    x3 = _mm_xor_si128(Fold(x3, k512), Load128(bytes + 48));
+  }
+  __m128i x = _mm_xor_si128(Fold(x0, k128), x1);
+  x = _mm_xor_si128(Fold(x, k128), x2);
+  x = _mm_xor_si128(Fold(x, k128), x3);
+  for (; count >= 16; bytes += 16, count -= 16) {
+    x = _mm_xor_si128(Fold(x, k128), Load128(bytes));
+  }
+  // x is congruent to everything consumed so far; as 16 message bytes
+  // under a zero register it leaves the register the whole prefix would.
+  alignas(16) uint8_t folded[16];
+  _mm_store_si128(reinterpret_cast<__m128i*>(folded), x);
+  return Crc64NvmeUpdateTable(Crc64NvmeUpdateTable(0, folded, 16), bytes,
+                              count);
 }
 
 }  // namespace simd_internal

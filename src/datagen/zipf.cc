@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "common/check.h"
 
@@ -19,11 +20,17 @@ int64_t NumClassesForScale(double c, double z, int64_t max_classes) {
 }
 
 // Total rows produced by scale c: sum over i of max(1, round(c / i^z)).
-int64_t TotalRowsForScale(double c, double z, int64_t max_classes) {
+// pow_i_z[i - 1] caches i^z across calls; it grows to the largest class
+// count asked for.
+int64_t TotalRowsForScale(double c, double z, int64_t max_classes,
+                          std::vector<double>* pow_i_z) {
   int64_t total = 0;
   const int64_t d = NumClassesForScale(c, z, max_classes);
+  for (auto i = static_cast<int64_t>(pow_i_z->size()) + 1; i <= d; ++i) {
+    pow_i_z->push_back(std::pow(static_cast<double>(i), z));
+  }
   for (int64_t i = 1; i <= d; ++i) {
-    const double f = c / std::pow(static_cast<double>(i), z);
+    const double f = c / (*pow_i_z)[static_cast<size_t>(i - 1)];
     total += std::max<int64_t>(1, static_cast<int64_t>(std::llround(f)));
     if (total > (int64_t{1} << 61)) return total;  // Overflow guard.
   }
@@ -38,13 +45,18 @@ std::vector<int64_t> ZipfClassFrequencies(int64_t rows, double z) {
   if (z == 0.0) {
     return std::vector<int64_t>(static_cast<size_t>(rows), 1);
   }
-  // Binary search the scale c so the class frequencies sum to ~rows.
+  // Binary search the scale c so the class frequencies sum to ~rows. The
+  // search stops once the midpoint rounds onto an endpoint: from there a
+  // step leaves lo and hi where they are (for rows = 1 it could still drop
+  // hi onto lo, which yields the same single class).
+  std::vector<double> pow_i_z;
   double lo = 0.5;
   double hi = static_cast<double>(rows);
-  while (TotalRowsForScale(hi, z, rows) < rows) hi *= 2.0;
+  while (TotalRowsForScale(hi, z, rows, &pow_i_z) < rows) hi *= 2.0;
   for (int iter = 0; iter < 100; ++iter) {
     const double mid = 0.5 * (lo + hi);
-    if (TotalRowsForScale(mid, z, rows) < rows) {
+    if (mid == lo || mid == hi) break;
+    if (TotalRowsForScale(mid, z, rows, &pow_i_z) < rows) {
       lo = mid;
     } else {
       hi = mid;
@@ -55,8 +67,10 @@ std::vector<int64_t> ZipfClassFrequencies(int64_t rows, double z) {
   std::vector<int64_t> freqs;
   freqs.reserve(static_cast<size_t>(d));
   int64_t total = 0;
+  // Every value hi took was scored, so the cache already reaches d.
+  NDV_DCHECK(static_cast<int64_t>(pow_i_z.size()) >= d);
   for (int64_t i = 1; i <= d; ++i) {
-    const double f = c / std::pow(static_cast<double>(i), z);
+    const double f = c / pow_i_z[static_cast<size_t>(i - 1)];
     const int64_t ni = std::max<int64_t>(1, static_cast<int64_t>(std::llround(f)));
     freqs.push_back(ni);
     total += ni;

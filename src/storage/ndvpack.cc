@@ -15,8 +15,11 @@ static_assert(std::endian::native == std::endian::little,
               "ndvpack readers alias little-endian payloads in place");
 
 bool StartsWithPackMagic(std::string_view head) {
-  return head.starts_with(kPackMagic) || head.starts_with(kPackV2Magic) ||
-         head.starts_with(kPackV1Magic);
+  if (head.size() < kPackMagic.size() || !head.starts_with(kPackMagicStem)) {
+    return false;
+  }
+  const char digit = head[kPackMagicStem.size()];
+  return digit >= '0' && digit <= '9';
 }
 
 StatusOr<Table> OpenPackFile(const std::string& path) {

@@ -4,7 +4,7 @@
 #include <cstring>
 
 #include "common/check.h"
-#include "common/random.h"
+#include "common/simd_hash.h"
 
 namespace ndv {
 
@@ -123,65 +123,9 @@ const char* PackBlockCodecName(PackBlockCodec codec) {
 
 // --- Checksum. ------------------------------------------------------------
 
-namespace {
-
-// Lane j's starting state: distinct odd multiples of the golden ratio.
-constexpr uint64_t LaneSeed(size_t lane) {
-  return 0x9e3779b97f4a7c15ULL * (2 * lane + 1);
-}
-
-}  // namespace
-
-PackChecksummer::PackChecksummer() {
-  for (size_t j = 0; j < kLanes; ++j) lanes_[j] = LaneSeed(j);
-}
-
-void PackChecksummer::FoldStripes(const uint8_t* bytes, size_t stripes) {
-  // A local copy keeps the lanes in registers: the eight Hash64 chains are
-  // independent, so their multiplies overlap instead of queueing.
-  uint64_t lanes[kLanes];
-  std::memcpy(lanes, lanes_, sizeof(lanes));
-  for (size_t s = 0; s < stripes; ++s, bytes += kStripeBytes) {
-    for (size_t j = 0; j < kLanes; ++j) {
-      uint64_t word;
-      std::memcpy(&word, bytes + 8 * j, sizeof(word));
-      lanes[j] = Hash64(lanes[j] ^ word);
-    }
-  }
-  std::memcpy(lanes_, lanes, sizeof(lanes));
-}
-
 void PackChecksummer::Append(std::string_view bytes) {
-  if (bytes.empty()) return;
-  total_bytes_ += bytes.size();
-  const auto* data = reinterpret_cast<const uint8_t*>(bytes.data());
-  size_t size = bytes.size();
-  // Top up a partial stripe left by the previous Append.
-  if (pending_count_ > 0) {
-    const size_t take = std::min(kStripeBytes - pending_count_, size);
-    std::memcpy(pending_ + pending_count_, data, take);
-    pending_count_ += take;
-    data += take;
-    size -= take;
-    if (pending_count_ < kStripeBytes) return;
-    FoldStripes(pending_, 1);
-    pending_count_ = 0;
-  }
-  const size_t stripes = size / kStripeBytes;
-  FoldStripes(data, stripes);
-  pending_count_ = size - stripes * kStripeBytes;
-  std::memcpy(pending_, data + stripes * kStripeBytes, pending_count_);
-}
-
-uint64_t PackChecksummer::Finish() const {
-  uint64_t h = 0x9e3779b97f4a7c15ULL;
-  for (size_t j = 0; j < kLanes; ++j) h = Hash64(h ^ lanes_[j]);
-  for (size_t i = 0; i < pending_count_; i += 8) {
-    uint64_t word = 0;  // Zero-padded; the length fold disambiguates.
-    std::memcpy(&word, pending_ + i, std::min<size_t>(8, pending_count_ - i));
-    h = Hash64(h ^ word);
-  }
-  return Hash64(h ^ total_bytes_);
+  crc_ = Crc64NvmeUpdate(crc_, reinterpret_cast<const uint8_t*>(bytes.data()),
+                         bytes.size());
 }
 
 uint64_t PackChecksum(std::span<const uint8_t> bytes) {

@@ -47,14 +47,13 @@ enum class PackBlockCodec : uint8_t {
 
 // --- File-level constants (layout in storage/pack_writer.h). -------------
 
-// Version 3: the v2 block layout under the lane-parallel PackChecksum.
-inline constexpr std::string_view kPackMagic = "NDVPACK3";
-inline constexpr uint32_t kPackVersion = 3;
-// Magics of the removed formats: v1 (whole-column arrays) and v2 (this
-// layout under a serial checksum). The parser still recognizes them, to
-// reject such files with an error that names them.
-inline constexpr std::string_view kPackV1Magic = "NDVPACK1";
-inline constexpr std::string_view kPackV2Magic = "NDVPACK2";
+// Version 4: the v2 block layout under the CRC-64/NVME PackChecksum. Every
+// version's magic is kPackMagicStem plus its version digit; the parser
+// recognizes the stem, to reject an older (or newer) version with an error
+// that names it.
+inline constexpr std::string_view kPackMagicStem = "NDVPACK";
+inline constexpr std::string_view kPackMagic = "NDVPACK4";
+inline constexpr uint32_t kPackVersion = 4;
 // 48 bytes of header fields plus the 8-byte header checksum; the payload
 // stream starts here (8-aligned by construction).
 inline constexpr uint64_t kPackV2HeaderBytes = 56;
@@ -86,32 +85,21 @@ const char* PackBlockCodecName(PackBlockCodec codec);
 // --- Streaming checksum. --------------------------------------------------
 
 // The pack checksum (header and trailer), streamed so the writer never
-// needs the whole file in memory. Eight independent Hash64 lanes: lane j
-// starts at its own fixed seed and folds word j (8 LE bytes) of every full
-// 64-byte stripe. Finish() folds the lanes in order into one accumulator,
-// then the < 64 leftover bytes 8 at a time (zero-padded last word), then
-// the total length. Every fold is a bijection in the word it folds, so
-// any single-word change always changes the sum; the independent lanes
-// let a core overlap the multiplies of eight words instead of chaining
-// them. Append is chunking-invariant.
+// needs the whole file in memory: CRC-64/NVME (poly 0xAD93D23594C93659
+// reflected, init and xorout all ones; check("123456789") =
+// 0xae8b14860a799888). One 64-bit register: Append advances it, Finish
+// applies the xorout. A degree-64 CRC detects every burst of up to 64 bits
+// and misses a random error with probability 2^-64. Append is
+// chunking-invariant.
 class PackChecksummer {
  public:
-  PackChecksummer();
   void Append(std::string_view bytes);
   // Finalizes over everything appended so far. Idempotent w.r.t. state:
   // does not consume the checksummer.
-  uint64_t Finish() const;
+  uint64_t Finish() const { return ~crc_; }
 
  private:
-  static constexpr size_t kLanes = 8;
-  static constexpr size_t kStripeBytes = 8 * kLanes;
-
-  void FoldStripes(const uint8_t* bytes, size_t stripes);
-
-  uint64_t lanes_[kLanes];
-  uint64_t total_bytes_ = 0;
-  uint8_t pending_[kStripeBytes] = {};
-  size_t pending_count_ = 0;
+  uint64_t crc_ = ~uint64_t{0};
 };
 
 // Convenience: checksum of one contiguous buffer.

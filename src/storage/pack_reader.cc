@@ -8,6 +8,7 @@
 #include "common/byte_codec.h"
 #include "common/check.h"
 #include "storage/blocked_column.h"
+#include "storage/ndvpack.h"
 
 namespace ndv {
 
@@ -48,13 +49,11 @@ StatusOr<PackV2Info> ParsePackV2(std::span<const uint8_t> bytes) {
 
   const std::string_view image(reinterpret_cast<const char*>(bytes.data()),
                                bytes.size());
-  if (image.starts_with(kPackV1Magic)) {
+  // Another version's magic is named before any length or checksum check.
+  if (StartsWithPackMagic(image) && !image.starts_with(kPackMagic)) {
     return InvalidArgumentError(
-        "ndvpack v1 is unsupported; repack the source data as v3");
-  }
-  if (image.starts_with(kPackV2Magic)) {
-    return InvalidArgumentError(
-        "ndvpack v2 is unsupported; repack the source data as v3");
+        "ndvpack v%c is unsupported; repack the source data as v%u",
+        image[kPackMagicStem.size()], kPackVersion);
   }
   const uint64_t min_bytes = kPackV2HeaderBytes + kPackV2TrailerBytes;
   if (bytes.size() < min_bytes) {

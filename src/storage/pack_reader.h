@@ -16,7 +16,8 @@ namespace ndv {
 
 // ndvpack reader: validating parser + block-granular table opener
 // (layout in storage/pack_writer.h, codecs in storage/pack_codec.h). The
-// format is v3; the *V2 names date from the block layout, which v3 keeps.
+// format is v4; the *V2 names date from the block layout, which v3 and v4
+// keep.
 //
 // Everything is validated before a single column materializes — header
 // + trailer checksums, every directory field, every block's structure,
@@ -62,9 +63,9 @@ struct PackV2Info {
 
 // Parses and fully validates one v2 image, returning its metadata. The
 // name views index into `bytes` and share its lifetime. `bytes.data()`
-// must be 8-aligned (mmap / malloc buffers both are). An image with the v1
-// or v2 magic fails with InvalidArgument naming its version as unsupported,
-// before any length or checksum check.
+// must be 8-aligned (mmap / malloc buffers both are). An image with another
+// version's magic fails with InvalidArgument naming that version as
+// unsupported, before any length or checksum check.
 StatusOr<PackV2Info> InspectPackV2(std::span<const uint8_t> bytes);
 
 // Validates `bytes` and builds a Table of blocked columns over it. Every

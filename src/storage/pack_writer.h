@@ -24,10 +24,11 @@ namespace ndv {
 // file_io.h), so a crash mid-pack never leaves a half-written file at the
 // destination.
 //
-// v3 wire layout (all integers little-endian):
+// v4 wire layout (all integers little-endian; v3 had the same bytes under
+// another checksum):
 //
-//   [ 0..8)   magic "NDVPACK3"
-//   [ 8..12)  uint32 version (3)
+//   [ 0..8)   magic "NDVPACK4"
+//   [ 8..12)  uint32 version (4)
 //   [12..16)  uint32 column_count
 //   [16..24)  uint64 row_count
 //   [24..32)  uint64 block_rows (rows per block; last block may be short)
@@ -45,7 +46,7 @@ namespace ndv {
 //       uint8 codec, uint8 param, uint16 reserved (0),
 //       uint32 rows, uint64 offset, uint64 length
 //   [size-8..size) uint64 trailer checksum (PackChecksum of bytes
-//                  [kPackV2HeaderBytes, size - 8); the 8-lane scheme is
+//                  [kPackV2HeaderBytes, size - 8); the CRC-64/NVME is
 //                  defined at PackChecksummer, storage/pack_codec.h)
 //
 // Two checksums because the header is back-patched: the payload/directory

@@ -2,8 +2,11 @@
 // and decodes back to the input values (round trip), the auto policy only
 // picks a codec when it actually shrinks the block, validators reject
 // every malformed claim with a Status naming the first bad row (never a
-// crash), and the streaming checksummer is chunking-invariant, length-
-// sensitive, sees a flip in every lane, and keeps its golden value.
+// crash), and the streaming checksummer is CRC-64/NVME: it matches the
+// catalogued check value and its golden value, the PCLMUL fold equals the
+// table at every length, offset and chunking, it is chunking-invariant and
+// length-sensitive, and it sees every single-bit flip and every burst of
+// up to 64 bits.
 
 #include <algorithm>
 #include <cstdint>
@@ -16,6 +19,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/random.h"
+#include "common/simd_hash.h"
 #include "storage/pack_codec.h"
 
 namespace ndv {
@@ -373,22 +378,76 @@ TEST(PackCodecTest, CodeValidationNamesTheFirstBadRowAtEveryWidth) {
   }
 }
 
+TEST(PackCodecTest, ChecksumIsTheCataloguedCrc64Nvme) {
+  // The CRC catalogue's check value for CRC-64/NVME (NVMe, S3 CRC64NVME).
+  EXPECT_EQ(Checksum("123456789"), 0xae8b14860a799888ULL);
+  EXPECT_EQ(Checksum({}), 0u);
+}
+
 TEST(PackCodecTest, ChecksumMatchesItsGoldenValue) {
-  // Pins the on-disk checksum: a change to the lane seeds, the stripe
-  // width, the tail or the length fold changes this value and every pack
-  // written before it.
+  // Pins the on-disk checksum of format v4; also checked against a bitwise
+  // model of the CRC outside this code base.
   std::string data;
   for (int i = 0; i < 1000; ++i) data.push_back(static_cast<char>(i * 7));
-  EXPECT_EQ(Checksum(data), 0x77ae68379fef3b44ULL);
+  EXPECT_EQ(Checksum(data), 0x9a9a15922194c6caULL);
+}
+
+// Every available level's CRC register, from a register that is not the
+// init value, equals the scalar table's.
+TEST(PackCodecTest, EveryLevelMatchesTheTableAtEveryLengthAndOffset) {
+  std::vector<uint8_t> buffer(4096 + 16);
+  Rng rng(0x5eed);
+  for (uint8_t& byte : buffer) byte = static_cast<uint8_t>(rng.NextU64());
+  for (const SimdLevel level : {SimdLevel::kAvx2, SimdLevel::kNeon}) {
+    if (!SimdLevelAvailable(level)) continue;
+    SCOPED_TRACE(SimdLevelName(level));
+    for (size_t offset = 0; offset < 16; ++offset) {
+      for (size_t length = 0; length <= 4096; ++length) {
+        const uint64_t start = Hash64(offset * 4097 + length);
+        const uint8_t* bytes = buffer.data() + offset;
+        ASSERT_EQ(Crc64NvmeUpdateAt(level, start, bytes, length),
+                  Crc64NvmeUpdateAt(SimdLevel::kScalar, start, bytes, length))
+            << "offset " << offset << " length " << length;
+      }
+    }
+  }
+}
+
+TEST(PackCodecTest, EveryLevelMatchesTheTableUnderRandomChunkings) {
+  std::vector<uint8_t> buffer(size_t{1} << 20);
+  Rng rng(0xc4c);
+  for (uint8_t& byte : buffer) byte = static_cast<uint8_t>(rng.NextU64());
+  const uint64_t want = Crc64NvmeUpdateAt(SimdLevel::kScalar, ~uint64_t{0},
+                                          buffer.data(), buffer.size());
+  for (const SimdLevel level :
+       {SimdLevel::kScalar, SimdLevel::kAvx2, SimdLevel::kNeon}) {
+    if (!SimdLevelAvailable(level)) continue;
+    SCOPED_TRACE(SimdLevelName(level));
+    for (int trial = 0; trial < 8; ++trial) {
+      // Chunks from 0 bytes to a few KiB, so the fold starts from a live
+      // register at every alignment and the table takes short chunks.
+      uint64_t crc = ~uint64_t{0};
+      size_t pos = 0;
+      while (pos < buffer.size()) {
+        const int64_t max_chunk = trial % 2 == 0 ? 200 : 5000;
+        const auto chunk =
+            std::min(buffer.size() - pos,
+                     static_cast<size_t>(rng.NextInRange(0, max_chunk)));
+        crc = Crc64NvmeUpdateAt(level, crc, buffer.data() + pos, chunk);
+        pos += chunk;
+      }
+      EXPECT_EQ(crc, want) << "trial " << trial;
+    }
+  }
 }
 
 TEST(PackCodecTest, ChecksummerIsChunkingInvariantAndLengthSensitive) {
   std::string data;
   for (int i = 0; i < 1000; ++i) data.push_back(static_cast<char>(i * 7));
 
-  // Every total length from empty through three stripes and a tail, and
-  // the whole input, under chunkings that straddle the 8-byte word and
-  // 64-byte stripe edges.
+  // Every total length from empty through three 64-byte fold blocks and a
+  // tail, and the whole input, under chunkings that straddle the 8-byte
+  // table word and the 16- and 64-byte fold edges.
   std::vector<size_t> lengths(201);
   for (size_t length = 0; length < lengths.size(); ++length) {
     lengths[length] = length;
@@ -414,8 +473,8 @@ TEST(PackCodecTest, ChecksummerIsChunkingInvariantAndLengthSensitive) {
   EXPECT_EQ(sum.Finish(), whole);
   EXPECT_EQ(sum.Finish(), whole);
 
-  // Trailing zeros change the checksum even though the 8-byte folds see
-  // identical words (the end-folded length disambiguates).
+  // Trailing zeros change the checksum: the all-ones init keeps a leading
+  // or trailing zero byte from being a no-op on the register.
   std::string padded = data;
   padded.append(8, '\0');
   EXPECT_NE(Checksum(padded), whole);
@@ -423,9 +482,9 @@ TEST(PackCodecTest, ChecksummerIsChunkingInvariantAndLengthSensitive) {
 }
 
 TEST(PackCodecTest, ChecksumSeesAFlipInEveryLaneAndInTheTail) {
-  // Two full stripes and a 13-byte tail. A flip in any word of a stripe
-  // reaches the sum through that word's lane; a flip in the tail through
-  // the serial fold.
+  // Two 64-byte blocks and a 13-byte tail: a flip in each word of the
+  // second block and in the tail the table finishes. Every flip changes
+  // the sum, and no two collide.
   std::string data;
   for (int i = 0; i < 2 * 64 + 13; ++i) {
     data.push_back(static_cast<char>(i * 31 + 5));
@@ -450,6 +509,45 @@ TEST(PackCodecTest, ChecksumSeesAFlipInEveryLaneAndInTheTail) {
   std::sort(sums.begin(), sums.end());
   EXPECT_EQ(std::adjacent_find(sums.begin(), sums.end()), sums.end())
       << "two single-byte flips collided";
+
+  // Every single-bit flip of a 4 KiB buffer. A CRC is linear, so the sum
+  // moves by the flip's own syndrome; distinct syndromes also mean no two
+  // positions collide.
+  std::string page(4096, '\0');
+  Rng rng(0xb175);
+  for (char& byte : page) byte = static_cast<char>(rng.NextU64());
+  const uint64_t page_sum = Checksum(page);
+  std::vector<uint64_t> page_sums;
+  page_sums.reserve(page.size() * 8);
+  for (size_t bit = 0; bit < page.size() * 8; ++bit) {
+    page[bit / 8] = static_cast<char>(page[bit / 8] ^ (1 << (bit % 8)));
+    const uint64_t sum = Checksum(page);
+    page[bit / 8] = static_cast<char>(page[bit / 8] ^ (1 << (bit % 8)));
+    ASSERT_NE(sum, page_sum) << "flip of bit " << bit;
+    page_sums.push_back(sum);
+  }
+  std::sort(page_sums.begin(), page_sums.end());
+  EXPECT_EQ(std::adjacent_find(page_sums.begin(), page_sums.end()),
+            page_sums.end())
+      << "two single-bit flips collided";
+
+  // Random bursts of 1..64 bits (first and last bit set) at unaligned bit
+  // offsets: a degree-64 CRC detects every one.
+  for (int trial = 0; trial < 20000; ++trial) {
+    const auto length = static_cast<size_t>(rng.NextInRange(1, 64));
+    const auto start = static_cast<size_t>(rng.NextInRange(
+        0, static_cast<int64_t>(page.size() * 8 - length)));
+    uint64_t pattern = rng.NextU64() | 1 | (uint64_t{1} << (length - 1));
+    if (length < 64) pattern &= (uint64_t{1} << length) - 1;
+    std::string burst = page;
+    for (size_t b = 0; b < length; ++b) {
+      if (((pattern >> b) & 1) == 0) continue;
+      const size_t bit = start + b;
+      burst[bit / 8] = static_cast<char>(burst[bit / 8] ^ (1 << (bit % 8)));
+    }
+    ASSERT_NE(Checksum(burst), page_sum)
+        << "burst of " << length << " bits at bit " << start;
+  }
 }
 
 TEST(PackCodecTest, CodecChoiceNamesParse) {

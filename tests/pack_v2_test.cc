@@ -2,8 +2,8 @@
 // table. Heap -> pack -> blocked columns must equal the heap columns
 // value-for-value and hash-for-hash (including NaN / -0.0 and multi-block
 // columns with short tails), the streaming file writer must emit the same
-// bytes as the in-memory writer under any append chunking, legacy v1 and
-// v2 packs must be rejected by magic through every entry point, sampling,
+// bytes as the in-memory writer under any append chunking, legacy v1, v2
+// and v3 packs must be rejected by magic through every entry point, sampling,
 // ANALYZE and distributed ANALYZE over blocked columns must be
 // bit-identical to heap at every thread count, and the parser must reject
 // every single-byte corruption with a Status.
@@ -278,10 +278,11 @@ TEST(PackV2Test, FailedWriteLeavesNoDestinationFile) {
 }
 
 // Every entry point rejects each image in `images` with InvalidArgument
-// naming `version` ("v1", "v2") as unsupported.
+// naming `version` ("v1", "v2", "v3") as unsupported.
 void ExpectRejectedByMagic(const std::vector<std::string>& images,
                            const std::string& version) {
-  const std::string want = "ndvpack " + version + " is unsupported";
+  const std::string want = "ndvpack " + version +
+                           " is unsupported; repack the source data as v4";
   const auto expect_error = [&](const Status& status) {
     EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
         << status.ToString();
@@ -317,7 +318,7 @@ void ExpectRejectedByMagic(const std::vector<std::string>& images,
 TEST(PackV2Test, V1FilesAreRejectedByMagic) {
   // A hand-built v1 header: magic, version 1, one column, three rows, and
   // a directory offset/length, as the removed v1 writer laid them out.
-  std::string v1(kPackV1Magic);
+  std::string v1("NDVPACK1");
   const uint32_t version = 1;
   const uint32_t columns = 1;
   const uint64_t fields[] = {3, 40, 16};
@@ -330,21 +331,31 @@ TEST(PackV2Test, V1FilesAreRejectedByMagic) {
   ExpectRejectedByMagic({v1, v1 + std::string(64, '\0')}, "v1");
 }
 
-TEST(PackV2Test, V2FilesAreRejectedByMagic) {
-  // v2 had today's layout under a serial checksum. A bare v2 header, and
-  // a complete current image relabelled v2, both name v2: the magic is
-  // checked before any length or checksum, so neither the short length
-  // nor the (now wrong) checksums are reported.
-  std::string header(kPackV2Magic);
-  const uint32_t version = 2;
+// A bare header of `version` (magic and version field), and a complete
+// current image relabelled with both: the magic is checked before any
+// length or checksum, so neither the short length nor the (now wrong)
+// checksums are reported.
+std::vector<std::string> RelabelledImages(uint32_t version) {
+  const std::string magic = "NDVPACK" + std::to_string(version);
+  std::string header = magic;
   header.append(reinterpret_cast<const char*>(&version), sizeof(version));
 
   std::string relabelled = SerializePackV2(MakeMixedTable(11));
-  relabelled.replace(0, kPackV2Magic.size(), kPackV2Magic);
-  relabelled.replace(kPackMagic.size(), sizeof(version),
+  relabelled.replace(0, magic.size(), magic);
+  relabelled.replace(magic.size(), sizeof(version),
                      reinterpret_cast<const char*>(&version),
                      sizeof(version));
-  ExpectRejectedByMagic({header, relabelled}, "v2");
+  return {header, relabelled};
+}
+
+TEST(PackV2Test, V2FilesAreRejectedByMagic) {
+  // v2 had today's layout under a serial checksum.
+  ExpectRejectedByMagic(RelabelledImages(2), "v2");
+}
+
+TEST(PackV2Test, V3FilesAreRejectedByMagic) {
+  // v3 had today's layout under an 8-lane Hash64 checksum.
+  ExpectRejectedByMagic(RelabelledImages(3), "v3");
 }
 
 TEST(PackV2Test, CompressesDeltaFriendlyAndLowCardinalityData) {

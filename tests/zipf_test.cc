@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/random.h"
 #include "table/table.h"
 
 namespace ndv {
@@ -58,6 +59,27 @@ TEST(ZipfClassFrequenciesTest, SingleRow) {
   const auto freqs = ZipfClassFrequencies(1, 2.0);
   ASSERT_EQ(freqs.size(), 1u);
   EXPECT_EQ(freqs[0], 1);
+}
+
+TEST(ZipfClassFrequenciesTest, OutputIsPinnedOverAGrid) {
+  // One digest of every frequency vector over 154 (rows, z) points: the
+  // scale search may get faster, but every generated column must stay
+  // bit-identical.
+  const int64_t rows_grid[] = {1,    2,     3,     5,     10,     50,    100,
+                               1000, 4096,  10000, 12345, 50000, 100000,
+                               200000};
+  const double z_grid[] = {0.0, 0.25, 0.5, 0.75, 1.0, 1.5,
+                           2.0, 2.5,  3.0, 3.5,  4.0};
+  uint64_t digest = 0;
+  for (const int64_t rows : rows_grid) {
+    for (const double z : z_grid) {
+      const auto freqs = ZipfClassFrequencies(rows, z);
+      uint64_t h = Hash64(freqs.size());
+      for (const int64_t f : freqs) h = Hash64(h ^ static_cast<uint64_t>(f));
+      digest = Hash64(digest ^ h);
+    }
+  }
+  EXPECT_EQ(digest, 0xa209c594b16e8e56ULL);
 }
 
 TEST(MakeZipfColumnTest, RowCountAndDistinctCount) {

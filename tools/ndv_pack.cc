@@ -4,15 +4,17 @@
 // the rows it actually touches, not to the text it would have re-parsed.
 //
 //   ndv_pack [--codec=auto|raw|delta|dict] <input> <output.ndvpack>
-//       convert CSV (or repack) to ndvpack v3 with the given block codec
+//       convert CSV (or repack) to ndvpack v4 with the given block codec
 //       policy (default auto)
 //   ndv_pack --verify <file.ndvpack>
-//       validate header/checksums/columns and print each column's block
-//       codecs, packed vs raw bytes, and the whole-file ratio
+//       validate header, both CRC-64/NVME checksums and every column and
+//       print each column's block codecs, packed vs raw bytes, and the
+//       whole-file ratio
 //
 // The input format is auto-detected by content; packing an .ndvpack input
 // rewrites it canonically (useful after hand edits or a codec change).
-// Legacy v1 and v2 packs are rejected with an error naming the format.
+// Packs of another version (v1, v2 and v3 are legacy) are rejected with
+// "ndvpack v<d> is unsupported; repack the source data as v4".
 
 #include <cstdint>
 #include <cstdio>
