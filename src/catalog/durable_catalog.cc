@@ -4,6 +4,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <cctype>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -13,73 +14,146 @@
 #include "common/check.h"
 #include "common/crash_point.h"
 #include "common/file_io.h"
+#include "common/simd_hash.h"
 
 namespace ndv {
 namespace {
 
-constexpr std::string_view kWalMagic = "NDVWAL1\n";
-constexpr std::string_view kSnapshotMagic = "NDVSNAP1";
+// Every version's magic is its stem plus the version digit; a stem with
+// another digit is refused by name (CheckDurableVersion).
+constexpr std::string_view kWalStem = "NDVWAL";
+constexpr std::string_view kSnapshotStem = "NDVSNAP";
+constexpr char kVersionDigit = '2';
+constexpr std::string_view kWalMagic = "NDVWAL2\n";
+constexpr std::string_view kSnapshotMagic = "NDVSNAP2";
 // u32 payload length + u64 payload checksum.
 constexpr size_t kRecordHeaderBytes = 12;
 // A single record above this is rejected as corrupt before any allocation
 // happens off its length field (the WAL analogue of kMaxFramePayload).
 constexpr size_t kMaxWalRecord = size_t{1} << 26;  // 64 MiB
 
-enum class RecordKind : uint8_t {
-  kPut = 1,      // one ColumnStats upsert
-  kPublish = 2,  // whole-catalog replacement
-};
-
-// Snapshot image: magic | u64 epoch | u32 length | catalog v2 text |
-// u64 Checksum64 of everything before the trailer. The catalog travels in
-// its existing v2 text serialization so snapshot bytes stay debuggable
-// with `cat` and compatible with StatsCatalog's own format evolution.
-std::string EncodeSnapshot(const StatsCatalog& catalog, uint64_t epoch) {
-  std::string out(kSnapshotMagic);
-  PutU64(&out, epoch);
-  PutString(&out, catalog.Serialize());
-  PutU64(&out, Checksum64(out));
-  return out;
+// Frames a payload: u32 length | u64 Crc64Nvme(payload) | payload.
+std::string FrameRecord(std::string_view payload) {
+  std::string frame;
+  frame.reserve(kRecordHeaderBytes + payload.size());
+  PutU32(&frame, static_cast<uint32_t>(payload.size()));
+  PutU64(&frame, Crc64Nvme(payload));
+  frame += payload;
+  return frame;
 }
 
-struct DecodedSnapshot {
-  StatsCatalog catalog;
-  uint64_t epoch = 0;
-  int64_t entries = 0;
-};
+}  // namespace
 
-StatusOr<DecodedSnapshot> DecodeSnapshot(std::string_view bytes) {
-  if (bytes.size() < kSnapshotMagic.size() + 8 + 4 + 8) {
-    return DataLossError("snapshot too small: %zu bytes", bytes.size());
+std::string EncodePutRecord(uint64_t epoch, const ColumnStats& stats) {
+  std::string payload;
+  PutU8(&payload, static_cast<uint8_t>(DurableRecordKind::kPut));
+  PutU64(&payload, epoch);
+  PutColumnStats(&payload, stats);
+  return FrameRecord(payload);
+}
+
+std::string EncodePublishRecord(uint64_t epoch,
+                                const StatsCatalog& catalog) {
+  std::string payload;
+  PutU8(&payload, static_cast<uint8_t>(DurableRecordKind::kPublish));
+  PutU64(&payload, epoch);
+  PutU32(&payload, static_cast<uint32_t>(catalog.entries().size()));
+  for (const ColumnStats& stats : catalog.entries()) {
+    PutColumnStats(&payload, stats);
   }
-  if (bytes.substr(0, kSnapshotMagic.size()) != kSnapshotMagic) {
-    return DataLossError("bad snapshot magic");
-  }
+  return FrameRecord(payload);
+}
+
+Status TakeDurableRecord(ByteReader* frames, DurableRecord* record) {
+  uint32_t length = 0;
   uint64_t stored = 0;
-  std::memcpy(&stored, bytes.data() + bytes.size() - 8, 8);
-  const uint64_t actual = Checksum64(bytes.substr(0, bytes.size() - 8));
-  if (stored != actual) {
-    return DataLossError("snapshot checksum mismatch: stored %016llx, "
+  std::string_view payload;
+  // A garbage length or a torn tail fails the cursor here.
+  NDV_RETURN_IF_ERROR(frames->TakeU32(&length));
+  NDV_RETURN_IF_ERROR(frames->TakeU64(&stored));
+  NDV_RETURN_IF_ERROR(frames->TakeView(length, &payload));
+  const uint64_t actual = Crc64Nvme(payload);
+  if (actual != stored) {
+    return DataLossError("record checksum mismatch: stored %016llx, "
                          "computed %016llx",
                          static_cast<unsigned long long>(stored),
                          static_cast<unsigned long long>(actual));
   }
-  ByteReader reader(bytes.substr(kSnapshotMagic.size(),
-                                 bytes.size() - 8 - kSnapshotMagic.size()),
-                    kMaxWalRecord);
-  DecodedSnapshot snapshot;
-  NDV_RETURN_IF_ERROR(reader.TakeU64(&snapshot.epoch));
-  std::string text;
-  NDV_RETURN_IF_ERROR(reader.TakeString(&text));
+  ByteReader reader(payload, kMaxWalRecord);
+  uint8_t kind = 0;
+  NDV_RETURN_IF_ERROR(reader.TakeU8(&kind));
+  if (kind != static_cast<uint8_t>(DurableRecordKind::kPut) &&
+      kind != static_cast<uint8_t>(DurableRecordKind::kPublish)) {
+    return DataLossError("unknown record kind %u",
+                         static_cast<unsigned>(kind));
+  }
+  record->kind = static_cast<DurableRecordKind>(kind);
+  NDV_RETURN_IF_ERROR(reader.TakeU64(&record->epoch));
+  record->body = payload.substr(payload.size() - reader.remaining());
+  return Status::Ok();
+}
+
+Status ApplyDurableRecord(const DurableRecord& record, StatsCatalog* state) {
+  ByteReader reader(record.body, kMaxWalRecord);
+  if (record.kind == DurableRecordKind::kPut) {
+    ColumnStats stats;
+    NDV_RETURN_IF_ERROR(TakeColumnStats(&reader, &stats));
+    NDV_RETURN_IF_ERROR(reader.ExpectEnd());
+    state->Put(std::move(stats));
+    return Status::Ok();
+  }
+  uint32_t count = 0;
+  NDV_RETURN_IF_ERROR(reader.TakeU32(&count));
+  StatsCatalog replacement;
+  for (uint32_t i = 0; i < count; ++i) {
+    ColumnStats stats;
+    NDV_RETURN_IF_ERROR(TakeColumnStats(&reader, &stats));
+    replacement.Put(std::move(stats));
+  }
   NDV_RETURN_IF_ERROR(reader.ExpectEnd());
-  auto catalog = StatsCatalog::DeserializeOrStatus(text);
-  if (!catalog.ok()) return catalog.status();
-  snapshot.entries = static_cast<int64_t>(catalog->entries().size());
-  snapshot.catalog = *std::move(catalog);
+  // A catalog holds one entry per column, so its image never repeats one.
+  if (replacement.entries().size() != count) {
+    return DataLossError("PUBLISH record names a column twice");
+  }
+  *state = std::move(replacement);
+  return Status::Ok();
+}
+
+std::string EncodeSnapshot(const StatsCatalog& catalog, uint64_t epoch) {
+  return std::string(kSnapshotMagic) + EncodePublishRecord(epoch, catalog);
+}
+
+StatusOr<DecodedSnapshot> DecodeSnapshot(std::string_view image) {
+  if (!image.starts_with(kSnapshotMagic)) {
+    return DataLossError("bad snapshot magic");
+  }
+  ByteReader frames(image.substr(kSnapshotMagic.size()), kMaxWalRecord);
+  DurableRecord record;
+  NDV_RETURN_IF_ERROR(TakeDurableRecord(&frames, &record));
+  NDV_RETURN_IF_ERROR(frames.ExpectEnd());
+  if (record.kind != DurableRecordKind::kPublish) {
+    return DataLossError("snapshot holds a PUT record, not a PUBLISH");
+  }
+  DecodedSnapshot snapshot;
+  snapshot.epoch = record.epoch;
+  NDV_RETURN_IF_ERROR(ApplyDurableRecord(record, &snapshot.catalog));
   return snapshot;
 }
 
-}  // namespace
+Status CheckDurableVersion(std::string_view image, std::string_view file) {
+  for (const std::string_view stem : {kWalStem, kSnapshotStem}) {
+    if (image.size() <= stem.size() || !image.starts_with(stem)) continue;
+    const char digit = image[stem.size()];
+    if (std::isdigit(static_cast<unsigned char>(digit)) &&
+        digit != kVersionDigit) {
+      return InvalidArgumentError(
+          "durable catalog v%c is unsupported; %.*s holds a v%c image: move "
+          "the directory aside and publish into an empty one",
+          digit, static_cast<int>(file.size()), file.data(), digit);
+    }
+  }
+  return Status::Ok();
+}
 
 DurableCatalog::DurableCatalog(DurableCatalogOptions options)
     : options_(std::move(options)) {}
@@ -123,107 +197,84 @@ StatusOr<std::unique_ptr<DurableCatalog>> DurableCatalog::Open(
 }
 
 Status DurableCatalog::Recover() {
-  // 1. Newest snapshot, falling back to the kept previous one. A missing
+  // 1. Read every file and refuse another version's before anything in
+  //    the directory is decoded, truncated, renamed or written. An
+  //    unreadable snapshot is only unusable (the fallback covers it); an
+  //    unreadable log is an environmental error.
+  struct File {
+    std::string path;
+    bool is_log;
+    std::string bytes;  // empty when the file is absent or unreadable
+  };
+  File files[] = {{PathTo(kSnapshotFile), /*is_log=*/false, {}},
+                  {PathTo(kSnapshotPrevFile), /*is_log=*/false, {}},
+                  {PathTo(kWalPrevFile), /*is_log=*/true, {}},
+                  {PathTo(kWalFile), /*is_log=*/true, {}}};
+  for (File& file : files) {
+    auto read = ReadFileOrStatus(file.path);
+    if (read.ok()) {
+      file.bytes = *std::move(read);
+    } else if (file.is_log &&
+               read.status().code() != StatusCode::kNotFound) {
+      return read.status();
+    }
+    NDV_RETURN_IF_ERROR(CheckDurableVersion(file.bytes, file.path));
+  }
+  const auto& [primary, previous, wal_prev, wal] = files;
+
+  // 2. Newest snapshot, falling back to the kept previous one. A missing
   //    primary on a fresh directory is not a fallback; an unreadable or
   //    corrupt primary with a usable previous is.
-  const std::string primary = PathTo(kSnapshotFile);
-  const std::string previous = PathTo(kSnapshotPrevFile);
-  bool primary_present = FileExists(primary);
-  for (const std::string* path : {&primary, &previous}) {
-    auto bytes = ReadFileOrStatus(*path);
-    if (!bytes.ok()) continue;
-    auto snapshot = DecodeSnapshot(*bytes);
+  for (const File* snapshot_file : {&primary, &previous}) {
+    auto snapshot = DecodeSnapshot(snapshot_file->bytes);
     if (!snapshot.ok()) continue;
+    recovery_.snapshot_entries =
+        static_cast<int64_t>(snapshot->catalog.entries().size());
     state_ = std::move(snapshot->catalog);
     epoch_ = snapshot->epoch;
-    recovery_.snapshot_entries = snapshot->entries;
-    recovery_.used_fallback_snapshot = path == &previous && primary_present;
+    recovery_.used_fallback_snapshot =
+        snapshot_file == &previous && FileExists(primary.path);
     break;
   }
 
-  // 2. Replay the rotated log first (epoch filtering makes it a no-op
+  // 3. Replay the rotated log first (epoch filtering makes it a no-op
   //    unless the snapshot fallback fired), then the live log, repairing
   //    its tail so the next append lands after the last valid record.
-  NDV_RETURN_IF_ERROR(ReplayWal(PathTo(kWalPrevFile), /*repair=*/false));
-  NDV_RETURN_IF_ERROR(ReplayWal(PathTo(kWalFile), /*repair=*/true));
+  NDV_RETURN_IF_ERROR(
+      ReplayWal(wal_prev.path, wal_prev.bytes, /*repair=*/false));
+  NDV_RETURN_IF_ERROR(ReplayWal(wal.path, wal.bytes, /*repair=*/true));
   return Status::Ok();
 }
 
-Status DurableCatalog::ReplayWal(const std::string& path, bool repair) {
-  auto bytes_or = ReadFileOrStatus(path);
-  if (!bytes_or.ok()) {
-    if (bytes_or.status().code() == StatusCode::kNotFound) {
-      return Status::Ok();  // No log segment: nothing to replay.
-    }
-    return bytes_or.status();
-  }
-  const std::string& bytes = *bytes_or;
-
+Status DurableCatalog::ReplayWal(const std::string& path,
+                                 std::string_view bytes, bool repair) {
   // Exact-prefix scan: `valid_end` advances past each fully-validated,
-  // fully-applied record; the first framing, checksum, decode, or epoch
-  // failure stops the scan and everything after `valid_end` is discarded.
+  // fully-applied (or skipped) record; the first framing, checksum,
+  // decode, or epoch failure stops the scan and everything after
+  // `valid_end` is discarded.
   size_t valid_end = 0;
-  if (bytes.size() >= kWalMagic.size() &&
-      std::string_view(bytes).substr(0, kWalMagic.size()) == kWalMagic) {
-    valid_end = kWalMagic.size();
-  }
+  if (bytes.starts_with(kWalMagic)) valid_end = kWalMagic.size();
   uint64_t gap_epoch = 0;
   bool epoch_gap = false;
-  ByteReader log(std::string_view(bytes).substr(valid_end), kMaxWalRecord);
-  uint32_t length = 0;
-  uint64_t stored = 0;
-  std::string_view payload;
-  // A garbage length or a torn tail fails the cursor and ends the scan.
-  while (valid_end > 0 && log.TakeU32(&length).ok() &&
-         log.TakeU64(&stored).ok() && log.TakeView(length, &payload).ok()) {
-    if (Checksum64(payload) != stored) break;  // Torn or flipped bytes.
-
-    ByteReader reader(payload, kMaxWalRecord);
-    uint8_t kind_byte = 0;
-    uint64_t record_epoch = 0;
-    StatsCatalog replacement;
-    ColumnStats put_stats;
-    bool decoded = reader.TakeU8(&kind_byte).ok() &&
-                   reader.TakeU64(&record_epoch).ok();
-    bool is_put = false;
-    if (decoded && kind_byte == static_cast<uint8_t>(RecordKind::kPut)) {
-      decoded = TakeColumnStats(&reader, &put_stats).ok() &&
-                reader.ExpectEnd().ok();
-      is_put = true;
-    } else if (decoded &&
-               kind_byte == static_cast<uint8_t>(RecordKind::kPublish)) {
-      uint32_t count = 0;
-      decoded = reader.TakeU32(&count).ok();
-      for (uint32_t i = 0; decoded && i < count; ++i) {
-        ColumnStats stats;
-        decoded = TakeColumnStats(&reader, &stats).ok();
-        if (decoded) replacement.Put(std::move(stats));
-      }
-      decoded = decoded && reader.ExpectEnd().ok();
-    } else {
-      decoded = false;  // Unknown record kind.
-    }
-    if (!decoded) break;
-
-    if (record_epoch <= epoch_) {
+  ByteReader log(bytes.substr(valid_end), kMaxWalRecord);
+  DurableRecord record;
+  while (valid_end > 0 && TakeDurableRecord(&log, &record).ok()) {
+    if (record.epoch <= epoch_) {
       // Already covered by the snapshot (or the rotated log's overlap
       // with it); skipping keeps replay idempotent across interrupted
-      // compactions.
+      // compactions. The record passed its CRC, so its body is what was
+      // written; it is not decoded.
       ++recovery_.skipped_records;
-    } else if (record_epoch == epoch_ + 1) {
-      if (is_put) {
-        state_.Put(std::move(put_stats));
-      } else {
-        state_ = std::move(replacement);
-      }
-      epoch_ = record_epoch;
+    } else if (record.epoch == epoch_ + 1) {
+      if (!ApplyDurableRecord(record, &state_).ok()) break;
+      epoch_ = record.epoch;
       ++recovery_.replayed_records;
     } else {
-      // Epoch gap: the record is fully valid (framing, checksum, body all
-      // pass) but its predecessor — an earlier record or the snapshot that
+      // Epoch gap: the record is fully valid (framing, checksum, kind)
+      // but its predecessor — an earlier record or the snapshot that
       // covered it — is missing. Trust nothing after it.
       epoch_gap = true;
-      gap_epoch = record_epoch;
+      gap_epoch = record.epoch;
       break;
     }
     valid_end = bytes.size() - log.remaining();
@@ -293,22 +344,18 @@ Status DurableCatalog::OpenWalForAppend() {
   return Status::Ok();
 }
 
-Status DurableCatalog::AppendRecord(std::string payload) {
+Status DurableCatalog::AppendRecord(std::string_view frame) {
   if (wal_fd_ < 0) {
     return InternalError("WAL is not open (an earlier append or rotation "
                          "failure closed it); a successful Compact() "
                          "rebuilds the log");
   }
-  if (payload.size() > kMaxWalRecord) {
+  if (frame.size() - kRecordHeaderBytes > kMaxWalRecord) {
     return InvalidArgumentError("WAL record of %zu bytes exceeds the %zu "
                                 "byte cap",
-                                payload.size(), kMaxWalRecord);
+                                frame.size() - kRecordHeaderBytes,
+                                kMaxWalRecord);
   }
-  std::string frame;
-  frame.reserve(kRecordHeaderBytes + payload.size());
-  PutU32(&frame, static_cast<uint32_t>(payload.size()));
-  PutU64(&frame, Checksum64(payload));
-  frame += payload;
 
   // Pre-append boundary, so a failed append can be rolled back. A torn
   // record must never stay in front of a later append that returns OK:
@@ -327,11 +374,11 @@ Status DurableCatalog::AppendRecord(std::string payload) {
   // just guarantees the chaos schedule exercises a mid-record kill.)
   const size_t half = frame.size() / 2;
   Status status = WriteAllFd(
-      wal_fd_, std::string_view(frame).substr(0, half),
+      wal_fd_, frame.substr(0, half),
       "wal record (first half)");
   if (status.ok()) {
     NDV_CRASH_POINT("wal.append.torn");
-    status = WriteAllFd(wal_fd_, std::string_view(frame).substr(half),
+    status = WriteAllFd(wal_fd_, frame.substr(half),
                         "wal record (second half)");
   }
   if (status.ok()) {
@@ -359,11 +406,7 @@ Status DurableCatalog::AppendRecord(std::string payload) {
 
 Status DurableCatalog::AppendPut(const ColumnStats& stats) {
   MutexLock lock(mutex_);
-  std::string payload;
-  PutU8(&payload, static_cast<uint8_t>(RecordKind::kPut));
-  PutU64(&payload, epoch_ + 1);
-  PutColumnStats(&payload, stats);
-  NDV_RETURN_IF_ERROR(AppendRecord(std::move(payload)));
+  NDV_RETURN_IF_ERROR(AppendRecord(EncodePutRecord(epoch_ + 1, stats)));
   // The record is durable (per policy): apply and acknowledge.
   state_.Put(stats);
   ++epoch_;
@@ -377,14 +420,8 @@ Status DurableCatalog::AppendPut(const ColumnStats& stats) {
 
 Status DurableCatalog::AppendPublish(const StatsCatalog& catalog) {
   MutexLock lock(mutex_);
-  std::string payload;
-  PutU8(&payload, static_cast<uint8_t>(RecordKind::kPublish));
-  PutU64(&payload, epoch_ + 1);
-  PutU32(&payload, static_cast<uint32_t>(catalog.entries().size()));
-  for (const ColumnStats& stats : catalog.entries()) {
-    PutColumnStats(&payload, stats);
-  }
-  NDV_RETURN_IF_ERROR(AppendRecord(std::move(payload)));
+  NDV_RETURN_IF_ERROR(
+      AppendRecord(EncodePublishRecord(epoch_ + 1, catalog)));
   state_ = catalog;
   ++epoch_;
   ++records_since_snapshot_;

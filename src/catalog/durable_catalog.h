@@ -7,6 +7,7 @@
 #include <string_view>
 
 #include "catalog/stats_catalog.h"
+#include "common/byte_codec.h"
 #include "common/mutex.h"
 #include "common/status.h"
 #include "common/thread_annotations.h"
@@ -16,31 +17,38 @@ namespace ndv {
 // Crash-safe persistence under the catalog (DESIGN.md §14): every Put and
 // every epoch publication is journaled to an append-only write-ahead log
 // before it is acknowledged, and the log is periodically compacted into a
-// checksummed snapshot replaced by atomic rename. After a crash at ANY
-// instruction, Open() recovers a catalog that is bit-identical to the last
+// snapshot replaced by atomic rename. After a crash at ANY instruction,
+// Open() recovers a catalog that is bit-identical to the last
 // acknowledged state: no acknowledged record is lost, no partial record is
 // applied.
 //
 // On-disk layout inside `dir`:
-//   snapshot.ndv       newest compacted state ("NDVSNAP1" header, epoch,
-//                      catalog v2 text payload, Checksum64 trailer);
-//                      replaced only by write-temp + fsync + rename.
+//   snapshot.ndv       newest compacted state: "NDVSNAP2" followed by
+//                      exactly one PUBLISH record carrying the whole
+//                      catalog at the snapshot epoch; replaced only by
+//                      write-temp + fsync + rename.
 //   snapshot.prev.ndv  the previous snapshot, kept until the next
 //                      compaction succeeds (fallback if snapshot.ndv is
 //                      unreadable).
 //   wal.log            records appended since the newest snapshot
-//                      ("NDVWAL1\n" header, then length-prefixed records).
+//                      ("NDVWAL2\n" header, then records).
 //   wal.prev.log       the pre-compaction log, kept one rotation (replay
 //                      of it is a no-op thanks to epoch filtering, but it
 //                      backs the snapshot.prev fallback path).
 //
-// WAL record framing (the serve-protocol framing discipline applied to
-// disk): u32 payload length | u64 Checksum64(payload) | payload, where
-// payload = u8 kind | u64 epoch | body. Kinds: PUT (one PutColumnStats
-// image) and PUBLISH (whole-catalog replacement: u32 count + one
-// PutColumnStats image each). Records are written and read with the
-// common/byte_codec.h codec the serve wire uses, so a WAL ColumnStats is
-// byte for byte the one in a STATS reply.
+// One record format serves the log and the snapshot (the serve-protocol
+// framing discipline applied to disk): u32 payload length |
+// u64 Crc64Nvme(payload) | payload, where payload = u8 kind | u64 epoch |
+// body. Kinds: PUT (one PutColumnStats image) and PUBLISH (whole-catalog
+// replacement: u32 count + one PutColumnStats image each). Records are
+// written and read with the common/byte_codec.h codec the serve wire
+// uses, so a durable ColumnStats is byte for byte the one in a STATS
+// reply. Serialize() text is a human-readable dump; nothing reads it back.
+//
+// Version rule: a file whose magic is another version's ("NDVWAL<d>",
+// "NDVSNAP<d>") makes Open() fail with InvalidArgument before anything in
+// the directory is truncated, renamed or written. Old directories are
+// refused, never repaired.
 //
 // Replay semantics are EXACT PREFIX: records are applied in order until
 // the first record whose length, checksum, or body fails validation; that
@@ -48,8 +56,9 @@ namespace ndv {
 // physically truncated to the valid prefix (a torn tail from a mid-append
 // crash must not sit in front of future appends). A record therefore
 // either fully applies or leaves no trace. Records at or below the
-// recovered snapshot epoch are skipped, which is what makes the
-// compaction protocol (snapshot first, rotate the log second) safe to
+// recovered snapshot epoch are skipped after their framing, checksum,
+// kind and epoch pass, without decoding their bodies; this is what makes
+// the compaction protocol (snapshot first, rotate the log second) safe to
 // interrupt anywhere: replaying the old log onto the new snapshot is a
 // filtered no-op. One break is NOT repaired: a record with valid framing
 // whose epoch skips ahead of the recovered state means a whole
@@ -90,15 +99,58 @@ struct RecoveryInfo {
   double boot_millis = 0.0;       // wall clock of Open(): load + replay
 };
 
+// ---- The record codec: the one encoding of the WAL and the snapshot,
+// declared here so the fuzz target and the tests drive the decoder
+// recovery runs.
+
+enum class DurableRecordKind : uint8_t {
+  kPut = 1,      // one ColumnStats upsert
+  kPublish = 2,  // whole-catalog replacement
+};
+
+// One framed record (u32 payload length | u64 Crc64Nvme(payload) |
+// u8 kind | u64 epoch | body).
+std::string EncodePutRecord(uint64_t epoch, const ColumnStats& stats);
+std::string EncodePublishRecord(uint64_t epoch, const StatsCatalog& catalog);
+
+struct DurableRecord {
+  DurableRecordKind kind = DurableRecordKind::kPut;
+  uint64_t epoch = 0;
+  std::string_view body;  // aliases the input; ApplyDurableRecord decodes it
+};
+
+// Takes one frame off `frames` and checks its length, CRC, kind byte and
+// epoch field. The body is left undecoded, so replay pays nothing for a
+// record it skips.
+Status TakeDurableRecord(ByteReader* frames, DurableRecord* record);
+
+// Decodes `record`'s body exactly and applies it: a PUT upserts its
+// ColumnStats, a PUBLISH replaces the whole catalog (a PUBLISH naming a
+// column twice is corrupt). On error `state` is untouched.
+Status ApplyDurableRecord(const DurableRecord& record, StatsCatalog* state);
+
+// A snapshot image: "NDVSNAP2" followed by exactly one PUBLISH record.
+std::string EncodeSnapshot(const StatsCatalog& catalog, uint64_t epoch);
+struct DecodedSnapshot {
+  StatsCatalog catalog;
+  uint64_t epoch = 0;
+};
+StatusOr<DecodedSnapshot> DecodeSnapshot(std::string_view image);
+
+// The version rule: InvalidArgument when `image` starts with another
+// version's WAL or snapshot magic. `file` names it in the message.
+Status CheckDurableVersion(std::string_view image, std::string_view file);
+
 class DurableCatalog {
  public:
   // Opens (creating if needed) the durable catalog in options.dir and
   // recovers: snapshot load (with fallback), WAL replay, tail repair.
   // Fails on environmental errors (unwritable directory, I/O errors) —
-  // torn and corrupt data is recovered around, never fatal — and on one
-  // data condition: a WAL record with valid framing whose epoch skips
-  // ahead of the recovered state (a whole snapshot/log generation is
-  // missing, e.g. both snapshots destroyed). That is kDataLoss, not a
+  // torn and corrupt data is recovered around, never fatal — and on two
+  // data conditions. A file of another format version is InvalidArgument
+  // (see the file comment). A WAL record with valid framing whose epoch
+  // skips ahead of the recovered state (a whole snapshot/log generation
+  // is missing, e.g. both snapshots destroyed) is kDataLoss, not a
   // repair: truncating intact records would destroy data an operator
   // could still restore from backup.
   [[nodiscard]] static StatusOr<std::unique_ptr<DurableCatalog>> Open(
@@ -159,11 +211,12 @@ class DurableCatalog {
 
   std::string PathTo(std::string_view file) const;
   Status Recover() NDV_REQUIRES(mutex_);
-  // Replays one WAL file. `repair` physically truncates the file to the
-  // valid prefix (the live log); the rotated log is left untouched.
-  Status ReplayWal(const std::string& path, bool repair)
-      NDV_REQUIRES(mutex_);
-  Status AppendRecord(std::string payload) NDV_REQUIRES(mutex_);
+  // Replays one WAL file's bytes (empty when the file is absent).
+  // `repair` physically truncates `path` to the valid prefix (the live
+  // log); the rotated log is left untouched.
+  Status ReplayWal(const std::string& path, std::string_view bytes,
+                   bool repair) NDV_REQUIRES(mutex_);
+  Status AppendRecord(std::string_view frame) NDV_REQUIRES(mutex_);
   Status OpenWalForAppend() NDV_REQUIRES(mutex_);
   Status CompactLocked() NDV_REQUIRES(mutex_);
   Status RotateWalLocked() NDV_REQUIRES(mutex_);

@@ -1,7 +1,5 @@
 #include "catalog/stats_catalog.h"
 
-#include <algorithm>
-#include <charconv>
 #include <cstdio>
 
 #include "common/check.h"
@@ -27,51 +25,6 @@ std::string EscapeName(std::string_view name) {
     }
   }
   return out;
-}
-
-int HexDigit(char c) {
-  if ('0' <= c && c <= '9') return c - '0';
-  if ('A' <= c && c <= 'F') return c - 'A' + 10;
-  if ('a' <= c && c <= 'f') return c - 'a' + 10;
-  return -1;
-}
-
-std::optional<std::string> UnescapeName(std::string_view escaped) {
-  std::string out;
-  out.reserve(escaped.size());
-  for (size_t i = 0; i < escaped.size(); ++i) {
-    if (escaped[i] != '%') {
-      out += escaped[i];
-      continue;
-    }
-    if (i + 2 >= escaped.size()) return std::nullopt;  // Truncated escape.
-    const int hi = HexDigit(escaped[i + 1]);
-    const int lo = HexDigit(escaped[i + 2]);
-    if (hi < 0 || lo < 0) return std::nullopt;
-    out += static_cast<char>(hi * 16 + lo);
-    i += 2;
-  }
-  return out;
-}
-
-std::vector<std::string_view> SplitFields(std::string_view line) {
-  std::vector<std::string_view> fields;
-  size_t start = 0;
-  for (size_t i = 0; i <= line.size(); ++i) {
-    if (i == line.size() || line[i] == '|') {
-      fields.push_back(line.substr(start, i - start));
-      start = i + 1;
-    }
-  }
-  return fields;
-}
-
-template <typename T>
-bool ParseNumber(std::string_view text, T* out) {
-  const char* begin = text.data();
-  const char* end = text.data() + text.size();
-  const auto result = std::from_chars(begin, end, *out);
-  return result.ec == std::errc() && result.ptr == end;
 }
 
 }  // namespace
@@ -114,97 +67,6 @@ std::string StatsCatalog::Serialize() const {
     out += '\n';
   }
   return out;
-}
-
-StatusOr<StatsCatalog> StatsCatalog::DeserializeOrStatus(
-    std::string_view text) {
-  StatsCatalog catalog;
-  size_t pos = 0;
-  int64_t line_number = 0;
-  int version = 0;  // 0 until the header is seen
-  while (pos < text.size()) {
-    size_t eol = text.find('\n', pos);
-    if (eol == std::string_view::npos) eol = text.size();
-    const std::string_view line = text.substr(pos, eol - pos);
-    pos = eol + 1;
-    ++line_number;
-    if (line.empty()) continue;
-    if (version == 0) {
-      if (line == "ndv-stats-v1") {
-        version = 1;
-      } else if (line == "ndv-stats-v2") {
-        version = 2;
-      } else {
-        return InvalidArgumentError(
-            "line %lld: unknown header '%.*s' (expected ndv-stats-v1 or "
-            "ndv-stats-v2)",
-            static_cast<long long>(line_number),
-            static_cast<int>(std::min<size_t>(line.size(), 64)), line.data());
-      }
-      continue;
-    }
-    const auto fields = SplitFields(line);
-    const size_t expected_fields = version == 1 ? 8 : 10;
-    if (fields.size() != expected_fields) {
-      return InvalidArgumentError(
-          "line %lld: expected %zu fields for a v%d entry, got %zu",
-          static_cast<long long>(line_number), expected_fields, version,
-          fields.size());
-    }
-    ColumnStats stats;
-    const size_t method_field = expected_fields - 1;
-    const auto name = UnescapeName(fields[0]);
-    if (!name.has_value()) {
-      return InvalidArgumentError(
-          "line %lld field 1 (column name): bad percent escape",
-          static_cast<long long>(line_number));
-    }
-    const auto method = UnescapeName(fields[method_field]);
-    if (!method.has_value()) {
-      return InvalidArgumentError(
-          "line %lld field %zu (method): bad percent escape",
-          static_cast<long long>(line_number), method_field + 1);
-    }
-    stats.column_name = *name;
-    stats.method = *method;
-
-    // (field index, destination, what it is) — 1-based indices in messages.
-    auto parse_field = [&](size_t index, auto* out,
-                           const char* what) -> Status {
-      if (!ParseNumber(fields[index], out)) {
-        return InvalidArgumentError(
-            "line %lld field %zu (%s): cannot parse '%.*s' as a number",
-            static_cast<long long>(line_number), index + 1, what,
-            static_cast<int>(std::min<size_t>(fields[index].size(), 64)),
-            fields[index].data());
-      }
-      return Status::Ok();
-    };
-    NDV_RETURN_IF_ERROR(parse_field(1, &stats.table_rows, "table_rows"));
-    NDV_RETURN_IF_ERROR(parse_field(2, &stats.sample_rows, "sample_rows"));
-    NDV_RETURN_IF_ERROR(
-        parse_field(3, &stats.sample_distinct, "sample_distinct"));
-    NDV_RETURN_IF_ERROR(parse_field(4, &stats.estimate, "estimate"));
-    NDV_RETURN_IF_ERROR(parse_field(5, &stats.lower, "lower"));
-    NDV_RETURN_IF_ERROR(parse_field(6, &stats.upper, "upper"));
-    if (version >= 2) {
-      NDV_RETURN_IF_ERROR(parse_field(7, &stats.coverage, "coverage"));
-      int64_t degraded = 0;
-      NDV_RETURN_IF_ERROR(parse_field(8, &degraded, "degraded"));
-      if (degraded != 0 && degraded != 1) {
-        return InvalidArgumentError(
-            "line %lld field 9 (degraded): expected 0 or 1, got %lld",
-            static_cast<long long>(line_number),
-            static_cast<long long>(degraded));
-      }
-      stats.degraded = degraded == 1;
-    }
-    catalog.Put(std::move(stats));
-  }
-  if (version == 0) {
-    return InvalidArgumentError("missing ndv-stats header line");
-  }
-  return catalog;
 }
 
 void PutColumnStats(std::string* out, const ColumnStats& stats) {

@@ -18,8 +18,9 @@ namespace ndv {
 // the library. AnalyzeTable samples each column once, runs a configured
 // estimator, and records the per-column distinct-value statistics a planner
 // would consume (estimate + the GEE confidence interval + sample metadata).
-// The catalog serializes to a line-oriented text format so statistics can
-// persist across sessions.
+// Statistics persist through DurableCatalog in the binary PutColumnStats
+// encoding; Serialize() is a human-readable text dump that nothing reads
+// back.
 
 struct ColumnStats {
   std::string column_name;
@@ -98,18 +99,15 @@ class StatsCatalog {
   const std::vector<ColumnStats>& entries() const { return entries_; }
   bool empty() const { return entries_.empty(); }
 
-  // Line-oriented text serialization (current format, v2):
+  // Write-only, human-readable dump (`ndv_cli analyze --out`, and the
+  // form tests compare states in):
   //   ndv-stats-v2
   //   <name>|<table_rows>|<sample_rows>|<d>|<estimate>|<lower>|<upper>|
   //       <coverage>|<degraded 0/1>|<method>
-  // Column names and methods are percent-escaped ('%', '|', newline).
+  // Column names and methods are percent-escaped ('%', '|', newline);
+  // doubles print as %.17g, which distinguishes every finite value, so
+  // tests compare catalog states by their dumps.
   std::string Serialize() const;
-
-  // Parses Serialize() output — both the current v2 format and legacy v1
-  // files (8 fields, no coverage/degraded; they load as coverage = 1,
-  // complete). On malformed input returns InvalidArgument naming the line,
-  // the field, and the reason.
-  static StatusOr<StatsCatalog> DeserializeOrStatus(std::string_view text);
 
  private:
   std::vector<ColumnStats> entries_;

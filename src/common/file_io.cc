@@ -10,7 +10,6 @@
 #include <cstring>
 
 #include "common/crash_point.h"
-#include "common/random.h"
 
 namespace ndv {
 namespace {
@@ -36,22 +35,6 @@ class UniqueFd {
 };
 
 }  // namespace
-
-uint64_t Checksum64(std::string_view bytes) {
-  uint64_t h = 0x9e3779b97f4a7c15ULL ^ static_cast<uint64_t>(bytes.size());
-  size_t i = 0;
-  for (; i + 8 <= bytes.size(); i += 8) {
-    uint64_t word;
-    std::memcpy(&word, bytes.data() + i, sizeof(word));
-    h = Hash64(h ^ word);
-  }
-  if (i < bytes.size()) {
-    uint64_t word = 0;  // Zero-padded tail; the length seed disambiguates.
-    std::memcpy(&word, bytes.data() + i, bytes.size() - i);
-    h = Hash64(h ^ word);
-  }
-  return h;
-}
 
 Status WriteAllFd(int fd, std::string_view bytes, const char* what) {
   size_t written = 0;

@@ -21,11 +21,6 @@ namespace ndv {
 // (common/crash_point.h) so the chaos harness can kill the process between
 // any two steps.
 
-// The checksum used by durable on-disk artifacts (same fold as the ndvpack
-// trailer): Hash64 over 8-byte words, zero-padded tail, length-seeded so a
-// truncated prefix never collides with the full payload.
-uint64_t Checksum64(std::string_view bytes);
-
 // Writes all of `bytes` to `fd`, retrying EINTR and short writes. A write
 // returning 0 (or any persistent errno) is an Internal error naming the
 // progress made.

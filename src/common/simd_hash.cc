@@ -331,6 +331,12 @@ uint64_t Crc64NvmeUpdate(uint64_t crc, const uint8_t* bytes, size_t count) {
   return Crc64NvmeUpdateAt(ActiveSimdLevel(), crc, bytes, count);
 }
 
+uint64_t Crc64Nvme(std::string_view bytes) {
+  return ~Crc64NvmeUpdate(~uint64_t{0},
+                          reinterpret_cast<const uint8_t*>(bytes.data()),
+                          bytes.size());
+}
+
 namespace simd_internal {
 
 uint64_t Crc64NvmeUpdateTable(uint64_t crc, const uint8_t* bytes,

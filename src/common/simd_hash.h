@@ -76,6 +76,12 @@ void HashLookupCodes32(const int32_t* codes, const uint64_t* lut,
 // makes it equal to the table path by construction.
 uint64_t Crc64NvmeUpdate(uint64_t crc, const uint8_t* bytes, size_t count);
 
+// The one-shot CRC-64/NVME (init and xorout all ones; check("123456789") =
+// 0xae8b14860a799888): the checksum of every durable artifact — the
+// ndvpack header and trailer (DESIGN.md §15), WAL records and snapshots
+// (§14).
+uint64_t Crc64Nvme(std::string_view bytes);
+
 // --- Explicit-level kernels (tests / benches). ----------------------------
 // Requires SimdLevelAvailable(level); an unavailable level aborts.
 

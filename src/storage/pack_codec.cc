@@ -128,12 +128,6 @@ void PackChecksummer::Append(std::string_view bytes) {
                          bytes.size());
 }
 
-uint64_t PackChecksum(std::span<const uint8_t> bytes) {
-  PackChecksummer sum;
-  sum.Append({reinterpret_cast<const char*>(bytes.data()), bytes.size()});
-  return sum.Finish();
-}
-
 // --- Encoding. ------------------------------------------------------------
 
 PackBlockEncoding EncodeInt64Block(std::span<const int64_t> values,

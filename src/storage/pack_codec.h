@@ -47,7 +47,7 @@ enum class PackBlockCodec : uint8_t {
 
 // --- File-level constants (layout in storage/pack_writer.h). -------------
 
-// Version 4: the v2 block layout under the CRC-64/NVME PackChecksum. Every
+// Version 4: the v2 block layout under the CRC-64/NVME checksum. Every
 // version's magic is kPackMagicStem plus its version digit; the parser
 // recognizes the stem, to reject an older (or newer) version with an error
 // that names it.
@@ -85,7 +85,8 @@ const char* PackBlockCodecName(PackBlockCodec codec);
 // --- Streaming checksum. --------------------------------------------------
 
 // The pack checksum (header and trailer), streamed so the writer never
-// needs the whole file in memory: CRC-64/NVME (poly 0xAD93D23594C93659
+// needs the whole file in memory; the one-shot form is Crc64Nvme
+// (common/simd_hash.h): CRC-64/NVME (poly 0xAD93D23594C93659
 // reflected, init and xorout all ones; check("123456789") =
 // 0xae8b14860a799888). One 64-bit register: Append advances it, Finish
 // applies the xorout. A degree-64 CRC detects every burst of up to 64 bits
@@ -101,9 +102,6 @@ class PackChecksummer {
  private:
   uint64_t crc_ = ~uint64_t{0};
 };
-
-// Convenience: checksum of one contiguous buffer.
-uint64_t PackChecksum(std::span<const uint8_t> bytes);
 
 // --- Block encoding (writer side). ----------------------------------------
 

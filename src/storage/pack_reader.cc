@@ -7,6 +7,7 @@
 
 #include "common/byte_codec.h"
 #include "common/check.h"
+#include "common/simd_hash.h"
 #include "storage/blocked_column.h"
 #include "storage/ndvpack.h"
 
@@ -71,7 +72,7 @@ StatusOr<PackV2Info> ParsePackV2(std::span<const uint8_t> bytes) {
   uint64_t stored_header_sum;
   std::memcpy(&stored_header_sum, bytes.data() + kPackV2HeaderBytes - 8, 8);
   const uint64_t actual_header_sum =
-      PackChecksum(bytes.subspan(0, kPackV2HeaderBytes - 8));
+      Crc64Nvme(image.substr(0, kPackV2HeaderBytes - 8));
   if (stored_header_sum != actual_header_sum) {
     return DataLossError(
         "header checksum mismatch: stored %016llx, computed %016llx",
@@ -115,8 +116,8 @@ StatusOr<PackV2Info> ParsePackV2(std::span<const uint8_t> bytes) {
   const uint64_t payload_end = bytes.size() - kPackV2TrailerBytes;
   uint64_t stored_trailer_sum;
   std::memcpy(&stored_trailer_sum, bytes.data() + payload_end, 8);
-  const uint64_t actual_trailer_sum = PackChecksum(bytes.subspan(
-      kPackV2HeaderBytes, payload_end - kPackV2HeaderBytes));
+  const uint64_t actual_trailer_sum = Crc64Nvme(
+      image.substr(kPackV2HeaderBytes, payload_end - kPackV2HeaderBytes));
   if (stored_trailer_sum != actual_trailer_sum) {
     return DataLossError(
         "trailer checksum mismatch: stored %016llx, computed %016llx",

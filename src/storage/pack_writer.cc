@@ -12,6 +12,7 @@
 #include "common/byte_codec.h"
 #include "common/check.h"
 #include "common/file_io.h"
+#include "common/simd_hash.h"
 #include "storage/blocked_column.h"
 
 namespace ndv {
@@ -412,9 +413,7 @@ Status PackWriter::Finalize() {
   PutU64(&header, directory_offset);
   PutU64(&header, directory.size());
   NDV_CHECK_EQ(header.size(), kPackV2HeaderBytes - 8);
-  PutU64(&header,
-         PackChecksum({reinterpret_cast<const uint8_t*>(header.data()),
-                       header.size()}));
+  PutU64(&header, Crc64Nvme(header));
   {
     const Status status = sink_->WriteAt(0, header);
     if (!status.ok()) {

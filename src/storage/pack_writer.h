@@ -34,7 +34,7 @@ namespace ndv {
 //   [24..32)  uint64 block_rows (rows per block; last block may be short)
 //   [32..40)  uint64 directory_offset
 //   [40..48)  uint64 directory_length
-//   [48..56)  uint64 header checksum (PackChecksum of bytes [0, 48))
+//   [48..56)  uint64 header checksum (Crc64Nvme of bytes [0, 48))
 //   [56..)    block payloads, 8-aligned each, then per-string-column
 //             dictionaries (uint64 offsets array 8-aligned, then the blob)
 //   directory_offset ..       per-column entries, parsed sequentially:
@@ -45,9 +45,9 @@ namespace ndv {
 //     uint32 block_count, then per block:
 //       uint8 codec, uint8 param, uint16 reserved (0),
 //       uint32 rows, uint64 offset, uint64 length
-//   [size-8..size) uint64 trailer checksum (PackChecksum of bytes
+//   [size-8..size) uint64 trailer checksum (Crc64Nvme of bytes
 //                  [kPackV2HeaderBytes, size - 8); the CRC-64/NVME is
-//                  defined at PackChecksummer, storage/pack_codec.h)
+//                  defined at Crc64Nvme, common/simd_hash.h)
 //
 // Two checksums because the header is back-patched: the payload/directory
 // stream folds incrementally as it is emitted (the writer never rereads

@@ -1,5 +1,6 @@
 #include "distributed/distributed_analyze.h"
 
+#include <filesystem>
 #include <memory>
 #include <set>
 #include <string>
@@ -7,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include "catalog/durable_catalog.h"
 #include "datagen/zipf.h"
 #include "table/table.h"
 
@@ -414,7 +416,8 @@ TEST_F(DistributedAnalyzeTest, SweepOutcomesAreThreadCountIndependent) {
   }
 }
 
-// Degraded statistics survive the catalog's serialization round trip.
+// Degraded statistics survive the durable catalog: a compacted snapshot
+// reopens with their coverage and degraded flag intact.
 TEST_F(DistributedAnalyzeTest, DegradedStatsRoundTripThroughCatalog) {
   FaultPlan plan;
   plan.Set(0, FaultSpec::FailAlways());
@@ -423,11 +426,18 @@ TEST_F(DistributedAnalyzeTest, DegradedStatsRoundTripThroughCatalog) {
   auto result = Run(options);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
 
-  StatsCatalog catalog;
-  catalog.Put(result->stats);
-  auto parsed = StatsCatalog::DeserializeOrStatus(catalog.Serialize());
-  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  const std::optional<ColumnStats> stats = parsed->Find("value");
+  const std::string dir = testing::TempDir() + "/distributed_degraded_wal";
+  std::filesystem::remove_all(dir);
+  {
+    auto durable = DurableCatalog::Open({.dir = dir});
+    ASSERT_TRUE(durable.ok()) << durable.status().ToString();
+    ASSERT_TRUE((*durable)->AppendPut(result->stats).ok());
+    ASSERT_TRUE((*durable)->Compact().ok());
+  }
+  auto reopened = DurableCatalog::Open({.dir = dir});
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  EXPECT_EQ((*reopened)->recovery().snapshot_entries, 1);
+  const std::optional<ColumnStats> stats = (*reopened)->state().Find("value");
   ASSERT_TRUE(stats.has_value());
   EXPECT_EQ(stats->coverage, result->stats.coverage);
   EXPECT_TRUE(stats->degraded);

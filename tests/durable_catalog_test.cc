@@ -1,22 +1,33 @@
 // Crash-recovery tests for the durable catalog (DESIGN.md §14): WAL
-// round trips, exact-prefix replay over torn and corrupt tails,
-// snapshot fallback, crash-point death tests, and replay of the
-// checked-in fixture store under exhaustive tail mutation.
+// round trips, pinned record and snapshot bytes, exact-prefix replay over
+// torn and corrupt tails, snapshot fallback, crash-point death tests,
+// replay of the checked-in fixture store under exhaustive tail mutation,
+// and refusal of the previous format's store.
 
 #include "catalog/durable_catalog.h"
 
 #include <atomic>
+#include <bit>
 #include <cstdlib>
+#include <filesystem>
+#include <limits>
+#include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/byte_codec.h"
 #include "common/crash_point.h"
 #include "common/file_io.h"
+#include "common/random.h"
+#include "common/simd_hash.h"
+#include "datagen/real_world_like.h"
 
 namespace ndv {
 namespace {
@@ -70,14 +81,22 @@ std::string ToHex(std::string_view bytes) {
 }
 
 // wal.log after the 8-byte magic, following one AppendPut(GoldenStats())
-// into a fresh directory: record header (u32 length, u64 checksum) and
-// the Put payload. Logs on disk hold these bytes; any change here breaks
-// their replay.
+// into a fresh directory: record header (u32 length, u64 CRC-64/NVME)
+// and the Put payload. Logs on disk hold these bytes; any change here
+// breaks their replay.
 constexpr std::string_view kGoldenPutRecordHex =
-    "57000000eedbcc6ef687c0e00101000000000000000b0000006f72646572737c"
+    "5700000063561037268ef46f0101000000000000000b0000006f72646572737c"
     "69642532141a99be1c00000087d6120000000000f1fb09000000000000000080"
     "0c242e4100000000e2f7234100000000389c6c41000000000000ec3f01020000"
     "004145";
+
+// snapshot.ndv after that Put and a Compact(): "NDVSNAP2" and one PUBLISH
+// record (epoch 1, count 1, the same ColumnStats image).
+constexpr std::string_view kGoldenSnapshotHex =
+    "4e4456534e4150325b0000007d7d1a338787c35d020100000000000000010000"
+    "000b0000006f72646572737c69642532141a99be1c00000087d6120000000000"
+    "f1fb090000000000000000800c242e4100000000e2f7234100000000389c6c41"
+    "000000000000ec3f01020000004145";
 
 std::unique_ptr<DurableCatalog> OpenOrDie(DurableCatalogOptions options) {
   auto opened = DurableCatalog::Open(std::move(options));
@@ -383,8 +402,71 @@ TEST(DurableCatalogTest, PutRecordEncodesToPinnedBytes) {
   const auto wal =
       ReadFileOrStatus(dir + "/" + std::string(DurableCatalog::kWalFile));
   ASSERT_TRUE(wal.ok()) << wal.status().ToString();
-  ASSERT_TRUE(wal->starts_with("NDVWAL1\n"));
+  ASSERT_TRUE(wal->starts_with("NDVWAL2\n"));
   EXPECT_EQ(ToHex(std::string_view(*wal).substr(8)), kGoldenPutRecordHex);
+}
+
+TEST(DurableCatalogTest, SnapshotEncodesToPinnedBytes) {
+  const std::string dir = TestDir("durable_golden_snapshot");
+  {
+    auto durable = OpenOrDie({.dir = dir, .snapshot_every_records = 0});
+    ASSERT_TRUE(durable->AppendPut(GoldenStats()).ok());
+    ASSERT_TRUE(durable->Compact().ok());
+  }
+  const auto snapshot = ReadFileOrStatus(
+      dir + "/" + std::string(DurableCatalog::kSnapshotFile));
+  ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
+  EXPECT_EQ(ToHex(*snapshot), kGoldenSnapshotHex);
+}
+
+TEST(DurableCatalogTest, VersionRuleRefusesOtherDigitsOnly) {
+  const std::pair<std::string_view, std::string_view> refused[] = {
+      {"NDVWAL1\n", "durable catalog v1 is unsupported; f holds a v1"},
+      {"NDVSNAP1", "durable catalog v1 is unsupported; f holds a v1"},
+      {"NDVWAL3\n", "durable catalog v3 is unsupported; f holds a v3"}};
+  for (const auto& [image, message] : refused) {
+    const Status status = CheckDurableVersion(image, "f");
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << image;
+    EXPECT_TRUE(status.message().starts_with(message)) << status.ToString();
+  }
+  // The current magic, a torn header and foreign bytes are not versions.
+  for (const std::string_view image :
+       {"NDVWAL2\n", "NDVSNAP2", "NDVWAL", "NDVWALx", "", "garbage!"}) {
+    EXPECT_TRUE(CheckDurableVersion(image, "f").ok()) << image;
+  }
+}
+
+// Replay checks a record's framing, CRC, kind and epoch, and decodes its
+// body only when it applies: a record at or below the snapshot epoch is
+// skipped whole. Its body here is not a ColumnStats image, and replay
+// still reaches the record after it.
+TEST(DurableCatalogTest, SkippedRecordBodiesAreNotDecoded) {
+  const std::string dir = TestDir("durable_skip_body");
+  ASSERT_TRUE(EnsureDirectory(dir).ok());
+  StatsCatalog snapshot_state;
+  snapshot_state.Put(MakeStats("a", 1));
+  ASSERT_TRUE(AtomicWriteFile(dir + "/snapshot.ndv",
+                              EncodeSnapshot(snapshot_state, 2),
+                              /*sync=*/false)
+                  .ok());
+  std::string skipped_payload;
+  PutU8(&skipped_payload, static_cast<uint8_t>(DurableRecordKind::kPut));
+  PutU64(&skipped_payload, 2);
+  skipped_payload += "not a ColumnStats image";
+  std::string wal = "NDVWAL2\n";
+  PutU32(&wal, static_cast<uint32_t>(skipped_payload.size()));
+  PutU64(&wal, Crc64Nvme(skipped_payload));
+  wal += skipped_payload;
+  wal += EncodePutRecord(3, MakeStats("b", 2));
+  ASSERT_TRUE(AtomicWriteFile(dir + "/wal.log", wal, /*sync=*/false).ok());
+
+  auto durable = OpenOrDie({.dir = dir});
+  EXPECT_EQ(durable->epoch(), 3u);
+  EXPECT_EQ(durable->recovery().skipped_records, 1);
+  EXPECT_EQ(durable->recovery().replayed_records, 1);
+  EXPECT_EQ(durable->recovery().truncated_bytes, 0);
+  EXPECT_TRUE(durable->state().Find("a").has_value());
+  EXPECT_TRUE(durable->state().Find("b").has_value());
 }
 
 TEST(DurableCatalogTest, OversizeRecordIsRejectedNotAppended) {
@@ -395,6 +477,117 @@ TEST(DurableCatalogTest, OversizeRecordIsRejectedNotAppended) {
   EXPECT_FALSE(status.ok());
   EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(durable->epoch(), 0u);  // Nothing acknowledged, nothing applied.
+}
+
+// ---- Round trips through the snapshot: every catalog a restart reads
+// back from Compact() + reopen dumps to the same text as the one
+// published, whatever its names and values.
+
+// Publishes `catalog`, compacts, and reopens, so the state comes from the
+// snapshot alone (the publish record in wal.prev.log is skipped).
+StatsCatalog ReopenedFromSnapshot(const std::string& name,
+                                  const StatsCatalog& catalog) {
+  const std::string dir = TestDir(name);
+  {
+    auto durable = OpenOrDie({.dir = dir});
+    EXPECT_TRUE(durable->AppendPublish(catalog).ok());
+    EXPECT_TRUE(durable->Compact().ok());
+  }
+  auto durable = OpenOrDie({.dir = dir});
+  EXPECT_EQ(durable->recovery().snapshot_entries,
+            static_cast<int64_t>(catalog.entries().size()));
+  EXPECT_EQ(durable->recovery().replayed_records, 0);
+  return durable->state();
+}
+
+TEST(DurableCatalogRoundTripTest, NonFiniteAndSignedZeroFieldsSurvive) {
+  StatsCatalog catalog;
+  ColumnStats stats = MakeStats("poisoned", 1);
+  stats.estimate = std::numeric_limits<double>::quiet_NaN();
+  stats.upper = std::numeric_limits<double>::infinity();
+  stats.lower = -std::numeric_limits<double>::infinity();
+  stats.coverage = -0.0;
+  catalog.Put(stats);
+  const StatsCatalog back = ReopenedFromSnapshot("durable_rt_nonfinite",
+                                                 catalog);
+  EXPECT_EQ(back.Serialize(), catalog.Serialize());
+  const std::optional<ColumnStats> found = back.Find("poisoned");
+  ASSERT_TRUE(found.has_value());
+  // Bit patterns, so the NaN payload and the zero's sign count too.
+  for (const auto field : {&ColumnStats::estimate, &ColumnStats::lower,
+                           &ColumnStats::upper, &ColumnStats::coverage}) {
+    EXPECT_EQ(std::bit_cast<uint64_t>((*found).*field),
+              std::bit_cast<uint64_t>(stats.*field));
+  }
+}
+
+TEST(DurableCatalogRoundTripTest, AdversarialNamesAndExtremeValuesSurvive) {
+  // The text dump's escape characters, line breaks, UTF-8 and the dump's
+  // own header are plain bytes to the binary encoding.
+  const std::vector<std::string> alphabet = {
+      "|", "%", "\n", "\r", "%%", "|%|", "a", "\t", " ", "\"", ",", "\\",
+      "%7C", "\x01", "\x7f", "\xc3\xa9" /* é */, "\xe2\x82\xac" /* € */,
+      "0", "ndv-stats-v2"};
+  const std::vector<double> extremes = {
+      0.0, -0.0, 1.0, -1.0, 1e308, -1e308, 5e-324, 1e-300,
+      123456789.123456789, std::numeric_limits<double>::max(),
+      std::numeric_limits<double>::min(),
+      std::numeric_limits<double>::infinity(),
+      -std::numeric_limits<double>::infinity()};
+  const std::vector<int64_t> extreme_ints = {
+      0, 1, -1, std::numeric_limits<int64_t>::max(),
+      std::numeric_limits<int64_t>::min()};
+
+  Rng rng(2024);
+  StatsCatalog catalog;
+  catalog.Put(MakeStats("", 5));  // The empty name is a name.
+  for (int trial = 0; trial < 200; ++trial) {
+    ColumnStats stats;
+    const int pieces = static_cast<int>(rng.NextBounded(6)) + 1;
+    for (int i = 0; i < pieces; ++i) {
+      stats.column_name += alphabet[rng.NextBounded(alphabet.size())];
+    }
+    stats.method = alphabet[rng.NextBounded(alphabet.size())];
+    stats.table_rows = extreme_ints[rng.NextBounded(extreme_ints.size())];
+    stats.sample_rows = extreme_ints[rng.NextBounded(extreme_ints.size())];
+    stats.sample_distinct =
+        extreme_ints[rng.NextBounded(extreme_ints.size())];
+    stats.estimate = extremes[rng.NextBounded(extremes.size())];
+    stats.lower = extremes[rng.NextBounded(extremes.size())];
+    stats.upper = extremes[rng.NextBounded(extremes.size())];
+    stats.coverage = extremes[rng.NextBounded(extremes.size())];
+    stats.degraded = rng.NextBounded(2) == 1;
+    catalog.Put(stats);
+  }
+  const StatsCatalog back =
+      ReopenedFromSnapshot("durable_rt_adversarial", catalog);
+  EXPECT_EQ(back.Serialize(), catalog.Serialize());
+  EXPECT_TRUE(back.Find("").has_value());
+}
+
+TEST(DurableCatalogRoundTripTest, DuplicatePutsLastWins) {
+  const std::string dir = TestDir("durable_rt_duplicates");
+  StatsCatalog model;
+  {
+    auto durable = OpenOrDie({.dir = dir});
+    for (const auto& [name, salt] : std::vector<std::pair<std::string, int>>{
+             {"col", 1}, {"col", 2}, {"other", 3}, {"col", 4}}) {
+      ASSERT_TRUE(durable->AppendPut(MakeStats(name, salt)).ok());
+      model.Put(MakeStats(name, salt));
+    }
+    ASSERT_TRUE(durable->Compact().ok());
+  }
+  auto durable = OpenOrDie({.dir = dir});
+  ASSERT_EQ(durable->state().entries().size(), 2u);
+  EXPECT_EQ(durable->state().Find("col")->table_rows, 1004);
+  EXPECT_EQ(durable->state().Serialize(), model.Serialize());
+}
+
+TEST(DurableCatalogRoundTripTest, AnalyzedCatalogSurvives) {
+  const StatsCatalog catalog =
+      AnalyzeTable(MakeCensusLikeScaled(2000), AnalyzeOptions{});
+  EXPECT_EQ(ReopenedFromSnapshot("durable_rt_census", catalog).Serialize(),
+            catalog.Serialize());
 }
 
 // ---- Crash-point death tests: the in-process complement of the
@@ -507,14 +700,17 @@ std::string FixtureDir() {
   return std::string(root) + "/durable";
 }
 
-// Copies the fixture store into a scratch dir: recovery repairs the live
-// WAL in place, so tests must never open the checked-in copy directly.
-bool CopyFixture(const std::string& from, const std::string& to) {
+// Copies the fixture store (or the named files of it) into a scratch dir:
+// recovery repairs the live WAL in place, so tests must never open the
+// checked-in copy directly.
+bool CopyFixture(const std::string& from, const std::string& to,
+                 const std::vector<std::string_view>& names = {
+                     DurableCatalog::kSnapshotFile,
+                     DurableCatalog::kSnapshotPrevFile,
+                     DurableCatalog::kWalFile, DurableCatalog::kWalPrevFile}) {
   std::system(("rm -rf " + to).c_str());
   if (!EnsureDirectory(to).ok()) return false;
-  for (const std::string_view name :
-       {DurableCatalog::kSnapshotFile, DurableCatalog::kSnapshotPrevFile,
-        DurableCatalog::kWalFile, DurableCatalog::kWalPrevFile}) {
+  for (const std::string_view name : names) {
     auto bytes = ReadFileOrStatus(from + "/" + std::string(name));
     if (!bytes.ok()) return false;
     if (!AtomicWriteFile(to + "/" + std::string(name), *bytes,
@@ -524,6 +720,46 @@ bool CopyFixture(const std::string& from, const std::string& to) {
     }
   }
   return true;
+}
+
+// Every file in `dir`, by name.
+std::map<std::string, std::string> ReadDirectory(const std::string& dir) {
+  std::map<std::string, std::string> files;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    auto bytes = ReadFileOrStatus(entry.path().string());
+    EXPECT_TRUE(bytes.ok()) << bytes.status().ToString();
+    files[entry.path().filename().string()] = bytes.ok() ? *bytes : "";
+  }
+  return files;
+}
+
+// legacy_v1/ is a store the previous format wrote ("NDVWAL1\n" logs, text
+// snapshots). Open() refuses it whole, or only its snapshot, or only its
+// live log, with the typed version error, and changes no file: no repair,
+// no new log header.
+TEST(DurableCatalogFixtureTest, LegacyV1StoreIsRefusedAndLeftUntouched) {
+  const std::string fixture = FixtureDir();
+  if (fixture.empty()) GTEST_SKIP() << "NDV_TESTDATA not set";
+  const std::vector<std::vector<std::string_view>> copies = {
+      {DurableCatalog::kSnapshotFile, DurableCatalog::kSnapshotPrevFile,
+       DurableCatalog::kWalFile, DurableCatalog::kWalPrevFile},
+      {DurableCatalog::kSnapshotFile},
+      {DurableCatalog::kWalFile}};
+  for (const std::vector<std::string_view>& names : copies) {
+    SCOPED_TRACE(std::to_string(names.size()) + " file(s), first " +
+                 std::string(names.front()));
+    const std::string work = TestDir("durable_fixture_legacy");
+    ASSERT_TRUE(CopyFixture(fixture + "/legacy_v1", work, names));
+    const auto before = ReadDirectory(work);
+    ASSERT_EQ(before.size(), names.size());
+    auto opened = DurableCatalog::Open({.dir = work});
+    ASSERT_FALSE(opened.ok());
+    EXPECT_EQ(opened.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_TRUE(opened.status().message().starts_with(
+        "durable catalog v1 is unsupported; "))
+        << opened.status().ToString();
+    EXPECT_EQ(ReadDirectory(work), before);
+  }
 }
 
 TEST(DurableCatalogFixtureTest, CheckedInStoreRecoversBitIdentical) {

@@ -9,9 +9,10 @@
 
 #include <gtest/gtest.h>
 
+#include "catalog/durable_catalog.h"
 #include "common/random.h"
+#include "common/simd_hash.h"
 #include "core/all_estimators.h"
-#include "catalog/stats_catalog.h"
 #include "core/bootstrap_interval.h"
 #include "core/gee.h"
 #include "profile/skew_statistics.h"
@@ -102,8 +103,11 @@ TEST(FuzzRobustnessTest, SkewStatisticsAlwaysFinite) {
   }
 }
 
-TEST(FuzzRobustnessTest, CatalogDeserializerSurvivesGarbage) {
-  // Random byte soup must never crash the parser (an error is fine).
+TEST(FuzzRobustnessTest, DurableRecordDecoderSurvivesGarbage) {
+  // Random byte soup through the decoder recovery runs on every WAL and
+  // snapshot byte must never crash (an error is fine). Half the rounds
+  // frame the soup under a valid length and CRC, so the kind, epoch and
+  // body decoders see it too.
   Rng rng(13131313);
   for (int round = 0; round < 2000; ++round) {
     std::string garbage;
@@ -111,7 +115,20 @@ TEST(FuzzRobustnessTest, CatalogDeserializerSurvivesGarbage) {
     for (int i = 0; i < len; ++i) {
       garbage += static_cast<char>(rng.NextBounded(256));
     }
-    (void)StatsCatalog::DeserializeOrStatus(garbage);
+    if (round % 2 == 1) {
+      std::string framed;
+      PutU32(&framed, static_cast<uint32_t>(garbage.size()));
+      PutU64(&framed, Crc64Nvme(garbage));
+      garbage = framed + garbage;
+    }
+    (void)DecodeSnapshot(garbage);
+    (void)DecodeSnapshot("NDVSNAP2" + garbage);
+    ByteReader frames(garbage, garbage.size());
+    DurableRecord record;
+    while (TakeDurableRecord(&frames, &record).ok()) {
+      StatsCatalog state;
+      (void)ApplyDurableRecord(record, &state);
+    }
   }
 }
 

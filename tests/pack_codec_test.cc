@@ -306,11 +306,6 @@ TEST(PackCodecTest, ValidatorsRejectMalformedClaims) {
       ValidateCodesBlock(PackBlockCodec::kDictCodes, 3, 4, twelve, 4).ok());
 }
 
-uint64_t Checksum(std::string_view bytes) {
-  return PackChecksum(
-      {reinterpret_cast<const uint8_t*>(bytes.data()), bytes.size()});
-}
-
 // A code block of `codes` at `width` bytes per code (4 = raw int32).
 std::string CodeBlockBytes(const std::vector<int64_t>& codes, size_t width) {
   std::string out;
@@ -380,8 +375,8 @@ TEST(PackCodecTest, CodeValidationNamesTheFirstBadRowAtEveryWidth) {
 
 TEST(PackCodecTest, ChecksumIsTheCataloguedCrc64Nvme) {
   // The CRC catalogue's check value for CRC-64/NVME (NVMe, S3 CRC64NVME).
-  EXPECT_EQ(Checksum("123456789"), 0xae8b14860a799888ULL);
-  EXPECT_EQ(Checksum({}), 0u);
+  EXPECT_EQ(Crc64Nvme("123456789"), 0xae8b14860a799888ULL);
+  EXPECT_EQ(Crc64Nvme({}), 0u);
 }
 
 TEST(PackCodecTest, ChecksumMatchesItsGoldenValue) {
@@ -389,7 +384,7 @@ TEST(PackCodecTest, ChecksumMatchesItsGoldenValue) {
   // model of the CRC outside this code base.
   std::string data;
   for (int i = 0; i < 1000; ++i) data.push_back(static_cast<char>(i * 7));
-  EXPECT_EQ(Checksum(data), 0x9a9a15922194c6caULL);
+  EXPECT_EQ(Crc64Nvme(data), 0x9a9a15922194c6caULL);
 }
 
 // Every available level's CRC register, from a register that is not the
@@ -455,7 +450,7 @@ TEST(PackCodecTest, ChecksummerIsChunkingInvariantAndLengthSensitive) {
   lengths.push_back(data.size());
   for (const size_t length : lengths) {
     const std::string_view prefix = std::string_view(data).substr(0, length);
-    const uint64_t want = Checksum(prefix);
+    const uint64_t want = Crc64Nvme(prefix);
     for (const size_t chunk : {1u, 7u, 63u, 64u, 65u, 127u, 999u}) {
       PackChecksummer sum;
       for (size_t i = 0; i < prefix.size(); i += chunk) {
@@ -466,7 +461,7 @@ TEST(PackCodecTest, ChecksummerIsChunkingInvariantAndLengthSensitive) {
     }
   }
 
-  const uint64_t whole = Checksum(data);
+  const uint64_t whole = Crc64Nvme(data);
   // Finish() is idempotent (does not consume state).
   PackChecksummer sum;
   sum.Append(data);
@@ -477,8 +472,8 @@ TEST(PackCodecTest, ChecksummerIsChunkingInvariantAndLengthSensitive) {
   // or trailing zero byte from being a no-op on the register.
   std::string padded = data;
   padded.append(8, '\0');
-  EXPECT_NE(Checksum(padded), whole);
-  EXPECT_NE(Checksum({}), Checksum(std::string_view("\0", 1)));
+  EXPECT_NE(Crc64Nvme(padded), whole);
+  EXPECT_NE(Crc64Nvme({}), Crc64Nvme(std::string_view("\0", 1)));
 }
 
 TEST(PackCodecTest, ChecksumSeesAFlipInEveryLaneAndInTheTail) {
@@ -489,7 +484,7 @@ TEST(PackCodecTest, ChecksumSeesAFlipInEveryLaneAndInTheTail) {
   for (int i = 0; i < 2 * 64 + 13; ++i) {
     data.push_back(static_cast<char>(i * 31 + 5));
   }
-  const uint64_t clean = Checksum(data);
+  const uint64_t clean = Crc64Nvme(data);
   std::vector<size_t> positions;
   for (size_t lane = 0; lane < 8; ++lane) {
     positions.push_back(64 + 9 * lane);  // Byte `lane` of word `lane`.
@@ -502,7 +497,7 @@ TEST(PackCodecTest, ChecksumSeesAFlipInEveryLaneAndInTheTail) {
   for (const size_t pos : positions) {
     std::string flipped = data;
     flipped[pos] = static_cast<char>(flipped[pos] ^ 0x01);
-    const uint64_t sum = Checksum(flipped);
+    const uint64_t sum = Crc64Nvme(flipped);
     EXPECT_NE(sum, clean) << "flip at byte " << pos;
     sums.push_back(sum);
   }
@@ -516,12 +511,12 @@ TEST(PackCodecTest, ChecksumSeesAFlipInEveryLaneAndInTheTail) {
   std::string page(4096, '\0');
   Rng rng(0xb175);
   for (char& byte : page) byte = static_cast<char>(rng.NextU64());
-  const uint64_t page_sum = Checksum(page);
+  const uint64_t page_sum = Crc64Nvme(page);
   std::vector<uint64_t> page_sums;
   page_sums.reserve(page.size() * 8);
   for (size_t bit = 0; bit < page.size() * 8; ++bit) {
     page[bit / 8] = static_cast<char>(page[bit / 8] ^ (1 << (bit % 8)));
-    const uint64_t sum = Checksum(page);
+    const uint64_t sum = Crc64Nvme(page);
     page[bit / 8] = static_cast<char>(page[bit / 8] ^ (1 << (bit % 8)));
     ASSERT_NE(sum, page_sum) << "flip of bit " << bit;
     page_sums.push_back(sum);
@@ -545,7 +540,7 @@ TEST(PackCodecTest, ChecksumSeesAFlipInEveryLaneAndInTheTail) {
       const size_t bit = start + b;
       burst[bit / 8] = static_cast<char>(burst[bit / 8] ^ (1 << (bit % 8)));
     }
-    ASSERT_NE(Checksum(burst), page_sum)
+    ASSERT_NE(Crc64Nvme(burst), page_sum)
         << "burst of " << length << " bits at bit " << start;
   }
 }

@@ -404,7 +404,8 @@ bool MakeCrashedTemplate(const CrashOptions& options,
 // the checked-in bytes stay small and the mutation space stays exhaustive.
 bool MakeFixtures(const CrashOptions& options) {
   const std::string& dir = options.fixtures_dir;
-  RemoveDirRecursive(dir);
+  // Only basic/ is rewritten; other stores under DIR (legacy_v1/) stay.
+  RemoveDirRecursive(dir + "/basic");
   Status status = EnsureDirectory(dir);
   if (!status.ok()) {
     std::fprintf(stderr, "%s\n", status.ToString().c_str());
