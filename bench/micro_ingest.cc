@@ -26,11 +26,13 @@
 #include "common/check.h"
 #include "common/random.h"
 #include "common/simd_hash.h"
+#include "sample/samplers.h"
 #include "storage/mapped_file.h"
 #include "storage/ndvpack.h"
 #include "storage/pack_codec.h"
 #include "storage/pack_writer.h"
 #include "storage/table_loader.h"
+#include "table/column_sampling.h"
 #include "table/csv.h"
 #include "table/table.h"
 
@@ -216,9 +218,9 @@ BENCHMARK(BM_PackFromCsv)->Unit(benchmark::kMillisecond);
 // shaped like real warehouse data — a sorted (delta-friendly) int64 key, a
 // uniform (incompressible) double, a 50-value (dict-friendly) label. The
 // claim: auto halves the file and the sampled ANALYZE scan still runs
-// faster than on raw, because the sampled gather decodes each touched
-// block once (HashRange groups the sampled rows by block) with a loop
-// specialized for the block's width.
+// faster than on raw, because the sampled gather reads delta and dict
+// blocks in place (HashRange buckets the sampled rows by block)
+// with kernels specialized for the block's width.
 
 ndv::Table MakeCompressibleTable() {
   std::vector<int64_t> keys;
@@ -301,8 +303,9 @@ BENCHMARK(BM_PackWriteCodec)->Arg(0)->Arg(1)->Arg(2)
     ->Unit(benchmark::kMillisecond);
 
 // Sampled ANALYZE over each codec. A 1% sample touches every 4096-row
-// block, so every compressed block decodes once per op; auto still beats
-// raw (BENCH_ingest.json: 9.9 ms against 13.1 ms), and the Release CI job
+// block, so the gather sums every delta block's deltas (in place, nothing
+// decoded) once per op; auto still beats
+// raw (BENCH_ingest.json: 2.6 ms against 4.5 ms), and the Release CI job
 // fails when its median exceeds raw's.
 void BM_FirstEstimatePackCodec(benchmark::State& state) {
   uint64_t file_bytes = 0;
@@ -335,6 +338,36 @@ void BM_ExactScanPackCodec(benchmark::State& state) {
 }
 BENCHMARK(BM_ExactScanPackCodec)->Arg(0)->Arg(1)
     ->Unit(benchmark::kMillisecond);
+
+// The per-column stage under BM_FirstEstimatePackCodec: SummarizeRows of a
+// 1% Floyd sample of one 1M-row column, gather and count, with the draw
+// and the pack open outside the timed loop. Args: the codec policy (as
+// CodecArg) and the column (0 = the sorted int64 key, 2 = the 50-value
+// label), so raw/key and delta/key, raw/label and dict/label time the
+// same values under two codecs. The Release CI job fails when delta or
+// dict exceeds 1.5x raw on the same column.
+void BM_SummarizeRows(benchmark::State& state) {
+  uint64_t file_bytes = 0;
+  const std::string& path = GetCodecFixture(state.range(0), &file_bytes);
+  auto table = ndv::LoadTableAuto(path);
+  NDV_CHECK(table.ok());
+  const ndv::Column& column = table->column(state.range(1));
+  ndv::Rng rng(7);
+  const std::vector<int64_t> rows =
+      ndv::SampleWithoutReplacementFloyd(kRows, kRows / 100, rng);
+  for (auto _ : state) {
+    const ndv::SampleSummary summary = ndv::SummarizeRows(column, rows);
+    benchmark::DoNotOptimize(summary.freq.DistinctValues());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(rows.size()));
+  state.SetLabel(std::string(ndv::PackCodecChoiceName(
+                     CodecArg(state.range(0)))) +
+                 "/" + table->column_name(state.range(1)));
+}
+BENCHMARK(BM_SummarizeRows)
+    ->Args({1, 0})->Args({2, 0})->Args({1, 2})->Args({3, 2})
+    ->Unit(benchmark::kMicrosecond);
 
 // One block decode per (codec, width), in values/s: the layer below the
 // two scans above, so a decoder regression shows up here on its own.

@@ -1,18 +1,22 @@
-// Differential fuzz of FlatHashSet / FlatHashCounter against the standard
-// library containers they replaced. The input is decoded as an operation
-// sequence (insert / membership probe / counted add / count probe / merge),
-// and after every operation the flat containers must agree with the oracle.
-// Structural invariants — power-of-two capacity, load factor <= 3/4, peak
-// capacity monotonicity — are asserted throughout (FindIndex and the growth
-// paths carry NDV_DCHECKs as well; fuzz builds force NDV_DCHECK_ENABLED).
+// Differential fuzz of the two flat hash tables: FlatHashSet against
+// std::unordered_set, and FrequencyProfile::FromValues (the {key, count}
+// slot array behind every sample profile) against a sort-and-count
+// reference. The input is decoded as an operation sequence (insert /
+// membership probe / append a value to the profile input / profile check /
+// merge), and after every operation the set must agree with its oracle.
+// Structural invariants — power-of-two capacity, load factor <= 3/4 — are
+// asserted throughout (the probe and growth paths carry NDV_DCHECKs as
+// well; fuzz builds force NDV_DCHECK_ENABLED).
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
-#include <unordered_map>
 #include <unordered_set>
+#include <vector>
 
 #include "common/check.h"
 #include "common/flat_hash.h"
+#include "profile/frequency_profile.h"
 
 namespace {
 
@@ -34,10 +38,31 @@ struct Reader {
   }
 };
 
-void CheckStructure(int64_t capacity, double load_factor, int64_t peak) {
+void CheckStructure(const ndv::FlatHashSet& set) {
+  const int64_t capacity = set.Capacity();
   NDV_CHECK((capacity & (capacity - 1)) == 0);
-  NDV_CHECK_LE(load_factor, 0.75);
-  NDV_CHECK_GE(peak, capacity);
+  // The zero key lives out of line and takes no slot.
+  const int64_t slotted = set.size() - (set.Contains(0) ? 1 : 0);
+  NDV_CHECK_LE(slotted * 4, capacity * 3);
+}
+
+// The profile of `values` by sorting and counting runs.
+ndv::FrequencyProfile SortAndCount(std::vector<uint64_t> values) {
+  std::sort(values.begin(), values.end());
+  std::vector<int64_t> class_counts;
+  for (size_t i = 0; i < values.size();) {
+    size_t j = i;
+    while (j < values.size() && values[j] == values[i]) ++j;
+    class_counts.push_back(static_cast<int64_t>(j - i));
+    i = j;
+  }
+  return ndv::FrequencyProfile::FromClassCounts(class_counts);
+}
+
+void CheckProfile(const std::vector<uint64_t>& values) {
+  const ndv::FrequencyProfile profile = ndv::FrequencyProfile::FromValues(values);
+  profile.Validate();
+  NDV_CHECK(profile == SortAndCount(values));
 }
 
 }  // namespace
@@ -48,8 +73,7 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
 
   ndv::FlatHashSet set;
   std::unordered_set<uint64_t> set_oracle;
-  ndv::FlatHashCounter counter;
-  std::unordered_map<uint64_t, int64_t> counter_oracle;
+  std::vector<uint64_t> values;
 
   while (!in.Done()) {
     switch (in.Byte() % 5) {
@@ -66,18 +90,13 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
       }
       case 2: {
         const uint64_t key = in.Key();
-        const int64_t delta = 1 + in.Byte() % 4;
-        counter.Add(key, delta);
-        counter_oracle[key] += delta;
+        const int repeats = 1 + in.Byte() % 4;
+        for (int i = 0; i < repeats; ++i) values.push_back(key);
         break;
       }
-      case 3: {
-        const uint64_t key = in.Key();
-        const auto it = counter_oracle.find(key);
-        NDV_CHECK_EQ(counter.Count(key),
-                     it == counter_oracle.end() ? 0 : it->second);
+      case 3:
+        CheckProfile(values);
         break;
-      }
       case 4: {
         // Union-merge the running set into a pre-sized scratch set; the
         // merge must be a no-op on membership.
@@ -88,10 +107,7 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
       }
     }
     NDV_CHECK_EQ(set.size(), static_cast<int64_t>(set_oracle.size()));
-    NDV_CHECK_EQ(counter.size(), static_cast<int64_t>(counter_oracle.size()));
-    CheckStructure(set.Capacity(), set.LoadFactor(), set.PeakCapacity());
-    CheckStructure(counter.Capacity(), counter.LoadFactor(),
-                   counter.PeakCapacity());
+    CheckStructure(set);
   }
 
   // Full final sweep: both directions of containment, via ForEach.
@@ -103,15 +119,6 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   NDV_CHECK_EQ(visited, set.size());
   for (uint64_t key : set_oracle) NDV_CHECK(set.Contains(key));
 
-  int64_t total_from_flat = 0;
-  counter.ForEach([&](uint64_t key, int64_t count) {
-    const auto it = counter_oracle.find(key);
-    NDV_CHECK(it != counter_oracle.end());
-    NDV_CHECK_EQ(count, it->second);
-    total_from_flat += count;
-  });
-  int64_t total_from_oracle = 0;
-  for (const auto& [key, count] : counter_oracle) total_from_oracle += count;
-  NDV_CHECK_EQ(total_from_flat, total_from_oracle);
+  CheckProfile(values);
   return 0;
 }

@@ -253,7 +253,27 @@ Status DurableCatalog::ReplayWal(const std::string& path,
   // decode, or epoch failure stops the scan and everything after
   // `valid_end` is discarded.
   size_t valid_end = 0;
-  if (bytes.starts_with(kWalMagic)) valid_end = kWalMagic.size();
+  if (bytes.starts_with(kWalMagic)) {
+    valid_end = kWalMagic.size();
+  } else if (bytes.size() > kWalMagic.size()) {
+    // A header that is neither this version's nor another's (Open refused
+    // those). With no valid frame anywhere behind it the log is garbage or
+    // a torn creation and restarts empty. A valid frame at any byte offset
+    // means the damage hit the header (and perhaps the records next to
+    // it), and truncating would destroy intact records. Most offsets fail
+    // on the length field alone, so the scan costs about one pass.
+    for (size_t at = kWalMagic.size(); at < bytes.size(); ++at) {
+      ByteReader frames(bytes.substr(at), kMaxWalRecord);
+      DurableRecord record;
+      if (TakeDurableRecord(&frames, &record).ok()) {
+        return DataLossError(
+            "WAL %s has a damaged header in front of a valid record at "
+            "byte %zu (epoch %llu); refusing to repair — restore the "
+            "header or clear the directory",
+            path.c_str(), at, static_cast<unsigned long long>(record.epoch));
+      }
+    }
+  }
   uint64_t gap_epoch = 0;
   bool epoch_gap = false;
   ByteReader log(bytes.substr(valid_end), kMaxWalRecord);

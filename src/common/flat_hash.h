@@ -10,27 +10,25 @@
 
 namespace ndv {
 
-// Flat open-addressing containers specialized for 64-bit value hashes (the
+// A flat open-addressing set specialized for 64-bit value hashes (the
 // output of Column::HashAt / Hash64 / HashBytes). Keys are assumed to be
 // well mixed already, so a slot is addressed by the low bits of the key
 // directly — no second hash. Linear probing over a power-of-two table keeps
-// a lookup on one or two cache lines, where std::unordered_{set,map} pays a
-// pointer chase per element; this is the counting kernel under every
-// frequency profile, GROUP BY, and exact-NDV scan in the library.
+// a lookup on one or two cache lines, where std::unordered_set pays a
+// pointer chase per element; this is the kernel under every exact-NDV scan
+// in the library. FrequencyProfile::FromValues counts with the same layout
+// and policy (and CapacityFor) in its own {key, count} slot array.
 //
-// Layout and policy (shared by both containers):
+// Layout and policy:
 //  - slot key 0 marks an empty slot; the real key 0 is stored out of line
-//    (has_zero_ / zero_count_), so the full uint64_t range is usable;
+//    (has_zero_), so the full uint64_t range is usable;
 //  - capacity is a power of two, at least kMinCapacity once non-empty;
 //  - the table doubles when a non-zero insert would push the load factor
 //    over 3/4, re-inserting every key (linear probing has no tombstones
-//    because neither container supports erase);
-//  - peak_capacity() reports the largest table ever allocated — the honest
-//    "peak memory" figure an executor should account for, as opposed to
-//    the final element count.
+//    because the set does not support erase).
 //
-// Neither container is thread-safe; parallel scans build one per chunk and
-// merge (see ExactDistinctHashSet).
+// The set is not thread-safe; parallel scans build one per chunk and merge
+// (see ExactDistinctHashSet).
 
 namespace flat_hash_internal {
 
@@ -96,17 +94,8 @@ class FlatHashSet {
   int64_t size() const { return used_ + (has_zero_ ? 1 : 0); }
   bool empty() const { return size() == 0; }
 
-  // Current / largest-ever slot count (the zero key lives out of line and
-  // is not a slot).
+  // Current slot count (the zero key lives out of line and is not a slot).
   int64_t Capacity() const { return static_cast<int64_t>(keys_.size()); }
-  int64_t PeakCapacity() const { return peak_capacity_; }
-
-  // Fraction of slots in use; <= 3/4 by the growth policy.
-  double LoadFactor() const {
-    return Capacity() == 0
-               ? 0.0
-               : static_cast<double>(used_) / static_cast<double>(Capacity());
-  }
 
   // Table memory in bytes (the dominant footprint; excludes the object
   // header).
@@ -152,7 +141,6 @@ class FlatHashSet {
     NDV_DCHECK_GT(new_capacity, Capacity());
     std::vector<uint64_t> old = std::move(keys_);
     keys_.assign(static_cast<size_t>(new_capacity), 0);
-    if (new_capacity > peak_capacity_) peak_capacity_ = new_capacity;
     for (uint64_t key : old) {
       if (key != 0) keys_[FindIndex(keys_, key)] = key;
     }
@@ -160,123 +148,7 @@ class FlatHashSet {
 
   std::vector<uint64_t> keys_;
   int64_t used_ = 0;  // non-zero keys stored in slots
-  int64_t peak_capacity_ = 0;
   bool has_zero_ = false;
-};
-
-// A key -> count map over 64-bit hashes; the group table behind frequency
-// profiles and hash aggregation. Counts only grow (no erase).
-class FlatHashCounter {
- public:
-  FlatHashCounter() = default;
-  explicit FlatHashCounter(int64_t expected_keys) { Reserve(expected_keys); }
-
-  void Reserve(int64_t expected_keys) {
-    NDV_CHECK(expected_keys >= 0);
-    if (expected_keys == 0) return;
-    const int64_t capacity = flat_hash_internal::CapacityFor(expected_keys);
-    if (capacity > Capacity()) Rehash(capacity);
-  }
-
-  // Adds `delta` (>= 1) occurrences of `key`.
-  void Add(uint64_t key, int64_t delta = 1) {
-    NDV_DCHECK(delta >= 1);
-    if (key == 0) {
-      zero_count_ += delta;
-      return;
-    }
-    if ((used_ + 1) * 4 > Capacity() * 3) {
-      Rehash(std::max(flat_hash_internal::kMinCapacity, Capacity() * 2));
-    }
-    const size_t index = FindIndex(keys_, key);
-    if (keys_[index] != key) {
-      keys_[index] = key;
-      ++used_;
-      // Growth policy invariant: load factor stays <= 3/4 after every
-      // insert.
-      NDV_DCHECK_LE(used_ * 4, Capacity() * 3);
-    }
-    counts_[index] += delta;
-  }
-
-  // Occurrences of `key` added so far (0 when absent).
-  int64_t Count(uint64_t key) const {
-    if (key == 0) return zero_count_;
-    if (used_ == 0) return 0;
-    const size_t index = FindIndex(keys_, key);
-    return keys_[index] == key ? counts_[index] : 0;
-  }
-
-  // Number of distinct keys.
-  int64_t size() const { return used_ + (zero_count_ > 0 ? 1 : 0); }
-  bool empty() const { return size() == 0; }
-
-  int64_t Capacity() const { return static_cast<int64_t>(keys_.size()); }
-  int64_t PeakCapacity() const { return peak_capacity_; }
-
-  double LoadFactor() const {
-    return Capacity() == 0
-               ? 0.0
-               : static_cast<double>(used_) / static_cast<double>(Capacity());
-  }
-
-  int64_t MemoryBytes() const {
-    return Capacity() *
-           static_cast<int64_t>(sizeof(uint64_t) + sizeof(int64_t));
-  }
-
-  // Calls fn(key, count) for every key: 0 first (if present), then the
-  // non-zero keys in slot order (see FlatHashSet::ForEach on ordering).
-  template <typename Fn>
-  void ForEach(Fn&& fn) const {
-    if (zero_count_ > 0) fn(uint64_t{0}, zero_count_);
-    for (size_t i = 0; i < keys_.size(); ++i) {
-      if (keys_[i] != 0) fn(keys_[i], counts_[i]);
-    }
-  }
-
-  void Clear() {
-    keys_.clear();
-    counts_.clear();
-    used_ = 0;
-    zero_count_ = 0;
-  }
-
- private:
-  // See FlatHashSet::FindIndex on the non-empty power-of-two precondition.
-  static size_t FindIndex(const std::vector<uint64_t>& keys, uint64_t key) {
-    NDV_DCHECK(!keys.empty());
-    NDV_DCHECK_EQ(keys.size() & (keys.size() - 1), size_t{0});
-    const size_t mask = keys.size() - 1;
-    size_t index = static_cast<size_t>(key) & mask;
-    while (keys[index] != 0 && keys[index] != key) {
-      index = (index + 1) & mask;
-    }
-    return index;
-  }
-
-  void Rehash(int64_t new_capacity) {
-    NDV_DCHECK((new_capacity & (new_capacity - 1)) == 0);
-    NDV_DCHECK_GE(new_capacity, flat_hash_internal::kMinCapacity);
-    NDV_DCHECK_GT(new_capacity, Capacity());
-    std::vector<uint64_t> old_keys = std::move(keys_);
-    std::vector<int64_t> old_counts = std::move(counts_);
-    keys_.assign(static_cast<size_t>(new_capacity), 0);
-    counts_.assign(static_cast<size_t>(new_capacity), 0);
-    if (new_capacity > peak_capacity_) peak_capacity_ = new_capacity;
-    for (size_t i = 0; i < old_keys.size(); ++i) {
-      if (old_keys[i] == 0) continue;
-      const size_t index = FindIndex(keys_, old_keys[i]);
-      keys_[index] = old_keys[i];
-      counts_[index] = old_counts[i];
-    }
-  }
-
-  std::vector<uint64_t> keys_;
-  std::vector<int64_t> counts_;
-  int64_t used_ = 0;
-  int64_t peak_capacity_ = 0;
-  int64_t zero_count_ = 0;
 };
 
 }  // namespace ndv

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <vector>
 
 #include "common/check.h"
 #include "common/random.h"
@@ -331,6 +332,19 @@ uint64_t Crc64NvmeUpdate(uint64_t crc, const uint8_t* bytes, size_t count) {
   return Crc64NvmeUpdateAt(ActiveSimdLevel(), crc, bytes, count);
 }
 
+void GatherDeltaValues(int width, uint64_t base, const uint8_t* deltas,
+                       size_t count, std::span<const uint32_t> offsets,
+                       int64_t* out) {
+#if defined(NDV_HAVE_AVX2_TU)
+  if (ActiveSimdLevel() == SimdLevel::kAvx2) {
+    return simd_internal::GatherDeltaValuesAvx2(width, base, deltas, count,
+                                                offsets, out);
+  }
+#endif
+  simd_internal::GatherDeltaValuesGeneric(width, base, deltas, count, offsets,
+                                          out);
+}
+
 uint64_t Crc64Nvme(std::string_view bytes) {
   return ~Crc64NvmeUpdate(~uint64_t{0},
                           reinterpret_cast<const uint8_t*>(bytes.data()),
@@ -338,6 +352,53 @@ uint64_t Crc64Nvme(std::string_view bytes) {
 }
 
 namespace simd_internal {
+
+namespace {
+
+// The wrapping sum of the first `count` signed T deltas of a 16-byte
+// chunk. The count only selects lanes, so no branch depends on it.
+template <typename T>
+struct GenericChunkSum {
+  static uint64_t Of(const uint8_t* chunk, size_t count) {
+    uint64_t sum = 0;
+    for (size_t i = 0; i < 16 / sizeof(T); ++i) {
+      T delta;
+      std::memcpy(&delta, chunk + i * sizeof(T), sizeof(T));
+      sum +=
+          i < count ? static_cast<uint64_t>(static_cast<int64_t>(delta)) : 0;
+    }
+    return sum;
+  }
+};
+
+}  // namespace
+
+uint64_t* DeltaChunkScratch(size_t size) {
+  static thread_local std::vector<uint64_t> values;
+  if (values.size() < size) values.resize(size);
+  return values.data();
+}
+
+void GatherDeltaValuesGeneric(int width, uint64_t base,
+                              const uint8_t* deltas, size_t count,
+                              std::span<const uint32_t> offsets,
+                              int64_t* out) {
+  switch (width) {
+    case 1:
+      return GatherDeltasChunked<int8_t, GenericChunkSum<int8_t>>(
+          base, deltas, count, offsets, out);
+    case 2:
+      return GatherDeltasChunked<int16_t, GenericChunkSum<int16_t>>(
+          base, deltas, count, offsets, out);
+    case 4:
+      return GatherDeltasChunked<int32_t, GenericChunkSum<int32_t>>(
+          base, deltas, count, offsets, out);
+    default:
+      NDV_DCHECK(width == 8);
+      return GatherDeltasChunked<int64_t, GenericChunkSum<int64_t>>(
+          base, deltas, count, offsets, out);
+  }
+}
 
 uint64_t Crc64NvmeUpdateTable(uint64_t crc, const uint8_t* bytes,
                               size_t count) {

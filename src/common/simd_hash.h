@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string_view>
 
 namespace ndv {
@@ -67,6 +68,19 @@ void HashDoubleGather(const double* base, const int64_t* rows, size_t count,
 // (the pack deserializer validates them before any hashing).
 void HashLookupCodes32(const int32_t* codes, const uint64_t* lut,
                        size_t count, uint64_t* out);
+
+// Delta-block gather (DESIGN.md §10): out[j] = base plus the wrapping sum
+// of the first offsets[j] of the `count` signed little-endian deltas of
+// `width` bytes (1, 2, 4 or 8) at `deltas`, i.e. the value at offsets[j]
+// of a delta-coded block. Offsets come in any order, repeats allowed, each
+// <= count. One pass sums the deltas below the largest offset 16 bytes at
+// a time into a per-thread array of running values at chunk boundaries;
+// each offset then adds the head of its chunk. AVX2 hosts sum widths 1
+// and 2 with psadbw / pmaddwd; every other width and level runs the
+// generic chunk loop, which computes the same wrapping sums.
+void GatherDeltaValues(int width, uint64_t base, const uint8_t* deltas,
+                       size_t count, std::span<const uint32_t> offsets,
+                       int64_t* out);
 
 // CRC-64/NVME (poly 0xAD93D23594C93659, reflected): advances the raw
 // register `crc` over `count` bytes and returns it. The caller applies the

@@ -12,6 +12,9 @@
 //     magnitude zero (+0.0 / -0.0) becomes the +0.0 word, any magnitude
 //     above the infinity pattern (i.e. every NaN payload, signed or not)
 //     becomes the canonical quiet NaN word.
+//   - The delta-gather chunk sums (widths 1 and 2) are wrapping integer
+//     sums, exact in any order; the lane masks drop the deltas past the
+//     requested count.
 //   - The CRC fold only replaces 128 message bits by a congruent 128 bits
 //     further on (mod P); the table finishes the last 16 folded bytes and
 //     the tail, so the register it returns is the table's.
@@ -111,6 +114,47 @@ inline __m128i Load128(const uint8_t* bytes) {
   return _mm_loadu_si128(reinterpret_cast<const __m128i*>(bytes));
 }
 
+// The low `bytes` (<= 16) bytes set: 16 bytes of a 32-byte ramp.
+inline __m128i LowBytesMask(size_t bytes) {
+  alignas(16) static constexpr uint8_t kRamp[32] = {
+      0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff,
+      0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff};
+  return Load128(kRamp + 16 - bytes);
+}
+
+// Delta chunk sums for widths 1 and 2 (the widths the writer picks for
+// sorted keys and clustered ids), where the generic loop spends its time
+// sign-extending each delta to 64 bits. Equal to GenericChunkSum.
+//
+// psadbw adds eight unsigned bytes into each 64-bit lane. Flipping the top
+// bit biases each signed delta by +128 into an unsigned byte; the bias
+// comes off after the sum.
+struct SadChunkSum {
+  static uint64_t Of(const uint8_t* chunk, size_t count) {
+    const __m128i biased = _mm_and_si128(
+        _mm_xor_si128(Load128(chunk), _mm_set1_epi8(static_cast<char>(0x80))),
+        LowBytesMask(count));
+    const __m128i lanes = _mm_sad_epu8(biased, _mm_setzero_si128());
+    const __m128i sum =
+        _mm_add_epi64(lanes, _mm_unpackhi_epi64(lanes, lanes));
+    return static_cast<uint64_t>(_mm_cvtsi128_si64(sum)) - 128 * count;
+  }
+};
+
+// pmaddwd adds pairs of int16 into four int32 lanes; eight int16 sum to at
+// most 2^18 in magnitude, so the int32 reduction cannot overflow.
+struct MaddChunkSum {
+  static uint64_t Of(const uint8_t* chunk, size_t count) {
+    const __m128i words =
+        _mm_and_si128(Load128(chunk), LowBytesMask(2 * count));
+    __m128i sum = _mm_madd_epi16(words, _mm_set1_epi16(1));
+    sum = _mm_add_epi32(sum, _mm_shuffle_epi32(sum, 0x4e));
+    sum = _mm_add_epi32(sum, _mm_shuffle_epi32(sum, 0xb1));
+    return static_cast<uint64_t>(
+        static_cast<int64_t>(_mm_cvtsi128_si32(sum)));
+  }
+};
+
 }  // namespace
 
 void HashInt64SpanAvx2(const int64_t* values, size_t count, uint64_t* out) {
@@ -209,6 +253,22 @@ uint64_t Crc64NvmeUpdateAvx2(uint64_t crc, const uint8_t* bytes,
   _mm_store_si128(reinterpret_cast<__m128i*>(folded), x);
   return Crc64NvmeUpdateTable(Crc64NvmeUpdateTable(0, folded, 16), bytes,
                               count);
+}
+
+void GatherDeltaValuesAvx2(int width, uint64_t base, const uint8_t* deltas,
+                           size_t count, std::span<const uint32_t> offsets,
+                           int64_t* out) {
+  switch (width) {
+    case 1:
+      return GatherDeltasChunked<int8_t, SadChunkSum>(base, deltas, count,
+                                                      offsets, out);
+    case 2:
+      return GatherDeltasChunked<int16_t, MaddChunkSum>(base, deltas, count,
+                                                        offsets, out);
+    default:
+      return GatherDeltaValuesGeneric(width, base, deltas, count, offsets,
+                                      out);
+  }
 }
 
 }  // namespace simd_internal

@@ -65,8 +65,8 @@ StatusOr<WorkerReply> ScanPartitionAttempt(
     }
   }
 
-  // Floyd draw, then one gather: blocked columns sort the rows by block
-  // and decode each touched block once (the same path AnalyzeTable's
+  // Floyd draw, then one gather: blocked columns bucket the rows by block
+  // and read them in place (the same path AnalyzeTable's
   // SummarizeRows takes). The hypergeometric merge accepts any uniform
   // WOR sample, so the draw order does not matter.
   const int64_t rows = end - begin;

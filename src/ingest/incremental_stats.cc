@@ -34,11 +34,7 @@ SampleSummary SummaryFromSample(int64_t rows,
   summary.table_rows = rows;
   summary.sample_rows = static_cast<int64_t>(sample.size());
   summary.distinct_rows = true;
-  // A reservoir of row hashes is nearly all-distinct, so pre-size the
-  // counting table for it: the snapshot path runs on every published
-  // append batch, and rehash churn was its dominant cost.
-  summary.freq = FrequencyProfile::FromValues(
-      sample, static_cast<int64_t>(sample.size()));
+  summary.freq = FrequencyProfile::FromValues(sample);
   summary.Validate();
   return summary;
 }

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/check.h"
+#include "common/flat_hash.h"
 
 namespace ndv {
 
@@ -28,26 +29,85 @@ FrequencyProfile FrequencyProfile::FromFrequencyCounts(
   return profile;
 }
 
+namespace {
+
+// The counting table is presized for at most this many keys: 2^15 keys
+// take 2^16 sixteen-byte slots (1 MiB), which stays cache-sized. A larger
+// input starts there and doubles as its distinct count demands.
+constexpr int64_t kMaxPresizedKeys = int64_t{1} << 15;
+
+// One slot of the counting table; key 0 marks an empty slot (the value 0
+// is counted out of line).
+struct CountSlot {
+  uint64_t key;
+  int64_t count;
+};
+
+// Index of the slot holding `key`, or of the empty slot where it belongs:
+// the low bits of the (already mixed) key, probed linearly over a
+// power-of-two table.
+size_t FindSlot(const std::vector<CountSlot>& slots, uint64_t key) {
+  NDV_DCHECK_EQ(slots.size() & (slots.size() - 1), size_t{0});
+  const size_t mask = slots.size() - 1;
+  size_t index = static_cast<size_t>(key) & mask;
+  while (slots[index].key != 0 && slots[index].key != key) {
+    index = (index + 1) & mask;
+  }
+  return index;
+}
+
+void DoubleSlots(std::vector<CountSlot>& slots) {
+  std::vector<CountSlot> old = std::move(slots);
+  slots.assign(old.size() * 2, CountSlot{0, 0});
+  for (const CountSlot& slot : old) {
+    if (slot.key != 0) slots[FindSlot(slots, slot.key)] = slot;
+  }
+}
+
+}  // namespace
+
 FrequencyProfile FrequencyProfile::FromValues(
-    std::span<const uint64_t> values, int64_t expected_distinct) {
-  // Unreserved by default: the distinct count is typically far below
-  // values.size(), and growing from small keeps the table cache-resident
-  // (reserving for every value would zero and probe a mostly-empty table).
-  // Callers that know better pass expected_distinct.
-  FlatHashCounter counts(expected_distinct);
-  for (uint64_t v : values) counts.Add(v);
-  FrequencyProfile profile = FromHashCounter(counts);
+    std::span<const uint64_t> values) {
+  const auto presized = std::min<int64_t>(
+      static_cast<int64_t>(values.size()), kMaxPresizedKeys);
+  std::vector<CountSlot> slots(
+      static_cast<size_t>(flat_hash_internal::CapacityFor(presized)),
+      CountSlot{0, 0});
+  int64_t used = 0;
+  int64_t zero_count = 0;
+  for (const uint64_t key : values) {
+    if (key == 0) {
+      ++zero_count;
+      continue;
+    }
+    size_t index = FindSlot(slots, key);
+    if (slots[index].key != key) {
+      // A new key: keep the load factor at or below 3/4.
+      if ((used + 1) * 4 > static_cast<int64_t>(slots.size()) * 3) {
+        DoubleSlots(slots);
+        index = FindSlot(slots, key);
+      }
+      slots[index].key = key;
+      ++used;
+    }
+    ++slots[index].count;
+  }
+  // f_by_freq[c - 1] counts the classes seen c times.
+  std::vector<int64_t> f_by_freq;
+  const auto add_class = [&f_by_freq](int64_t count) {
+    if (count > static_cast<int64_t>(f_by_freq.size())) {
+      f_by_freq.resize(static_cast<size_t>(count), 0);
+    }
+    ++f_by_freq[static_cast<size_t>(count - 1)];
+  };
+  for (const CountSlot& slot : slots) {
+    if (slot.key != 0) add_class(slot.count);
+  }
+  if (zero_count > 0) add_class(zero_count);
+  FrequencyProfile profile = FromFrequencyCounts(f_by_freq);
   // Mass conservation: every input value lands in exactly one class, so
   // sum_i i*f(i) must equal the number of values hashed in.
   NDV_DCHECK_EQ(profile.TotalCount(), static_cast<int64_t>(values.size()));
-  return profile;
-}
-
-FrequencyProfile FrequencyProfile::FromHashCounter(
-    const FlatHashCounter& counts) {
-  FrequencyProfile profile;
-  counts.ForEach(
-      [&profile](uint64_t /*key*/, int64_t count) { profile.Add(count); });
   return profile;
 }
 

@@ -6,8 +6,6 @@
 #include <string>
 #include <vector>
 
-#include "common/flat_hash.h"
-
 namespace ndv {
 
 // The frequency-of-frequencies profile of a multiset: f(i) is the number of
@@ -31,21 +29,14 @@ class FrequencyProfile {
   static FrequencyProfile FromFrequencyCounts(
       std::span<const int64_t> f_by_freq);
 
-  // Builds a profile from raw (hashed) sample values. `expected_distinct`
-  // pre-sizes the counting table; pass it when the distinct count is known
-  // to be near values.size() (e.g. a reservoir of row hashes, where nearly
-  // every sampled value is unique) — growing from small would pay ~4x the
-  // inserts in rehash churn there. The default (0) grows from small, which
-  // is right when distinct values are far fewer than input values.
-  static FrequencyProfile FromValues(std::span<const uint64_t> values,
-                                     int64_t expected_distinct = 0);
-
-  // Builds a profile from an already-populated hash -> multiplicity
-  // counter. This is the zero-copy end of the streaming pipeline: scan ->
-  // batch hash -> FlatHashCounter -> profile, with no intermediate value
-  // vector. The result only depends on the multiset of counts, not on the
-  // counter's iteration order.
-  static FrequencyProfile FromHashCounter(const FlatHashCounter& counts);
+  // Builds a profile from raw (hashed) sample values: the one hash ->
+  // profile path (SummarizeRows, IncrementalStats and DistributedAnalyze
+  // all end here). The values are counted in one open-addressing array of
+  // {key, count} slots, presized for values.size() distinct keys up to a
+  // cache-sized cap and grown past it, then reduced to an f-vector in one
+  // pass over the slots. The result depends only on the multiset of
+  // values, not on their order.
+  static FrequencyProfile FromValues(std::span<const uint64_t> values);
 
   // Number of classes occurring exactly `i` times; 0 outside [1, MaxFrequency].
   int64_t f(int64_t i) const {

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstring>
+#include <limits>
 #include <numeric>
 
 #include "common/simd_hash.h"
@@ -19,10 +21,9 @@ namespace {
 // slice walk) decodes it once; a different thread never observes another
 // thread's scratch. Column ids are process-unique (monotone counter), so a
 // recycled heap address can never revive a dead column's cache entry. One
-// block is all a caller needs as long as it visits rows block by block:
-// the slice walks do by construction, and HashRange groups its gather
-// list by block first (GatherByBlock) so a random-order sample decodes
-// each touched block once instead of once per row.
+// block is all a caller needs as long as it visits rows block by block,
+// which the slice walks do by construction. HashRange does not use the
+// cache: it reads its rows in place (GatherInPlace).
 uint64_t NextColumnId() {
   static std::atomic<uint64_t> next{1};
   return next.fetch_add(1, std::memory_order_relaxed);
@@ -57,46 +58,97 @@ CodeBlockCache& ThreadCodeCache() {
   return cache;
 }
 
-// Gathers out[i] = hash_of(block_data(b)[rows[i] - b * block_rows]), b the
-// block holding rows[i], visiting the touched blocks in ascending order so
-// block_data runs once per block. The rows are bucketed by block with a
-// counting sort (O(rows + blocks spanned), no comparisons); each hash is
-// written back at its request position, so `out` is the same as a per-row
-// gather in request order. Positions are size_t, so any span the caller
+// A gather list bucketed by block: the rows of block first_block + k
+// occupy [starts[k], starts[k + 1]) of `positions` (their request
+// positions, in request order) and `offsets` (their offsets in the block).
+struct BlockBuckets {
+  int64_t first_block = 0;
+  std::vector<size_t> starts;
+  std::vector<size_t> positions;
+  std::vector<uint32_t> offsets;
+};
+
+// Splits rows at block boundaries with a shift and a mask when block_rows
+// is a power of two (the writer's default is), by division otherwise.
+class RowSplit {
+ public:
+  explicit RowSplit(int64_t block_rows)
+      : block_rows_(block_rows),
+        shift_(std::has_single_bit(static_cast<uint64_t>(block_rows))
+                   ? std::countr_zero(static_cast<uint64_t>(block_rows))
+                   : -1) {}
+
+  int64_t Block(int64_t row) const {
+    return shift_ >= 0 ? row >> shift_ : row / block_rows_;
+  }
+  uint32_t Offset(int64_t row) const {
+    return static_cast<uint32_t>(shift_ >= 0 ? row & (block_rows_ - 1)
+                                             : row % block_rows_);
+  }
+
+ private:
+  int64_t block_rows_;
+  int shift_;
+};
+
+// Buckets `rows` by block with one counting pass: O(rows + blocks
+// spanned), no comparison (a comparison sort of a 1% sample cost more than
+// the in-place reads save). Positions are size_t, so any span the caller
 // can hold is indexable.
-template <typename BlockData, typename HashOf>
-void GatherByBlock(std::span<const int64_t> rows, int64_t column_rows,
-                   int64_t block_rows, BlockData&& block_data,
+BlockBuckets BucketByBlock(std::span<const int64_t> rows, int64_t column_rows,
+                           int64_t block_rows) {
+  NDV_DCHECK(!rows.empty());
+  const RowSplit split(block_rows);
+  int64_t first = std::numeric_limits<int64_t>::max();
+  int64_t last = 0;
+  for (const int64_t row : rows) {
+    NDV_DCHECK(0 <= row && row < column_rows);
+    first = std::min(first, split.Block(row));
+    last = std::max(last, split.Block(row));
+  }
+  BlockBuckets buckets;
+  buckets.first_block = first;
+  buckets.starts.assign(static_cast<size_t>(last - first) + 2, 0);
+  for (const int64_t row : rows) {
+    ++buckets.starts[static_cast<size_t>(split.Block(row) - first) + 1];
+  }
+  std::partial_sum(buckets.starts.begin(), buckets.starts.end(),
+                   buckets.starts.begin());
+  std::vector<size_t> next(buckets.starts.begin(), buckets.starts.end() - 1);
+  buckets.positions.resize(rows.size());
+  buckets.offsets.resize(rows.size());
+  for (size_t i = 0; i < rows.size(); ++i) {
+    const size_t j = next[static_cast<size_t>(split.Block(rows[i]) - first)]++;
+    buckets.positions[j] = i;
+    buckets.offsets[j] = split.Offset(rows[i]);
+  }
+  return buckets;
+}
+
+// Gathers out[i] = hash_of(rows[i]'s value) for a blocked column without
+// decoding a block: the rows are bucketed by block, and
+// read_block(block, offsets, values) reads one block's sampled values in
+// place into the matching run of an r-sized buffer. Each hash is written
+// back at its request position, so `out` is the same as a per-row gather
+// in request order.
+template <typename Value, typename ReadBlock, typename HashOf>
+void GatherInPlace(std::span<const int64_t> rows, int64_t column_rows,
+                   int64_t block_rows, ReadBlock&& read_block,
                    HashOf&& hash_of, uint64_t* out) {
   if (rows.empty()) return;
-  std::vector<int64_t> blocks(rows.size());
-  for (size_t i = 0; i < rows.size(); ++i) {
-    NDV_DCHECK(0 <= rows[i] && rows[i] < column_rows);
-    blocks[i] = rows[i] / block_rows;
+  const BlockBuckets buckets = BucketByBlock(rows, column_rows, block_rows);
+  std::vector<Value> values(rows.size());
+  for (size_t k = 0; k + 1 < buckets.starts.size(); ++k) {
+    const size_t begin = buckets.starts[k];
+    const size_t end = buckets.starts[k + 1];
+    if (begin == end) continue;
+    read_block(buckets.first_block + static_cast<int64_t>(k),
+               std::span<const uint32_t>(buckets.offsets.data() + begin,
+                                         end - begin),
+               values.data() + begin);
   }
-  const auto [min_it, max_it] =
-      std::minmax_element(blocks.begin(), blocks.end());
-  const int64_t first = *min_it;
-  // Positions of block first + k go to positions[starts[k] .. starts[k+1]).
-  std::vector<size_t> starts(static_cast<size_t>(*max_it - first) + 2, 0);
-  for (const int64_t block : blocks) {
-    ++starts[static_cast<size_t>(block - first) + 1];
-  }
-  std::partial_sum(starts.begin(), starts.end(), starts.begin());
-  std::vector<size_t> next(starts.begin(), starts.end() - 1);
-  std::vector<size_t> positions(rows.size());
-  for (size_t i = 0; i < rows.size(); ++i) {
-    positions[next[static_cast<size_t>(blocks[i] - first)]++] = i;
-  }
-  for (size_t k = 0; k + 1 < starts.size(); ++k) {
-    if (starts[k] == starts[k + 1]) continue;
-    const int64_t block = first + static_cast<int64_t>(k);
-    const int64_t block_begin = block * block_rows;
-    const auto* data = block_data(block);
-    for (size_t j = starts[k]; j < starts[k + 1]; ++j) {
-      const size_t i = positions[j];
-      out[i] = hash_of(data[rows[i] - block_begin]);
-    }
+  for (size_t j = 0; j < values.size(); ++j) {
+    out[buckets.positions[j]] = hash_of(values[j]);
   }
 }
 
@@ -162,11 +214,16 @@ uint64_t BlockedInt64Column::HashAt(int64_t row) const {
 
 void BlockedInt64Column::HashRange(std::span<const int64_t> rows,
                                    uint64_t* out) const {
-  const auto values = [this](int64_t block) { return BlockValues(block); };
+  const auto read = [this](int64_t block, std::span<const uint32_t> offsets,
+                           int64_t* values) {
+    const PackBlockRef& blk = blocks_[static_cast<size_t>(block)];
+    GatherInt64Block(blk.codec, blk.param, blk.rows, blk.data, offsets,
+                     values);
+  };
   const auto hash = [](int64_t value) {
     return Hash64(static_cast<uint64_t>(value));
   };
-  GatherByBlock(rows, rows_, block_rows_, values, hash, out);
+  GatherInPlace<int64_t>(rows, rows_, block_rows_, read, hash, out);
 }
 
 void BlockedInt64Column::HashSlice(int64_t begin, int64_t end,
@@ -354,11 +411,15 @@ uint64_t BlockedStringColumn::HashAt(int64_t row) const {
 
 void BlockedStringColumn::HashRange(std::span<const int64_t> rows,
                                     uint64_t* out) const {
-  const auto codes = [this](int64_t block) { return BlockCodes(block); };
+  const auto read = [this](int64_t block, std::span<const uint32_t> offsets,
+                           int32_t* codes) {
+    const PackBlockRef& blk = blocks_[static_cast<size_t>(block)];
+    GatherCodesBlock(blk.codec, blk.param, blk.data, offsets, codes);
+  };
   const auto hash = [this](int32_t code) {
     return hashes_[static_cast<size_t>(code)];
   };
-  GatherByBlock(rows, rows_, block_rows_, codes, hash, out);
+  GatherInPlace<int32_t>(rows, rows_, block_rows_, read, hash, out);
 }
 
 void BlockedStringColumn::HashSlice(int64_t begin, int64_t end,

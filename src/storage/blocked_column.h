@@ -21,12 +21,12 @@ namespace ndv {
 // block Algorithm L skipped.
 //
 // The cache holds one block, so callers must visit rows block by block to
-// decode each block once: the slice walks (HashSlice, Copy*) do by
-// construction, and HashRange buckets its gather list by block with a
-// counting sort, visits the touched blocks in order, and writes each hash
-// back at its request position — a random-order sample of r rows decodes
-// each touched block once, not once per row, and the output is identical
-// to per-row HashAt in request order.
+// decode each block once; the slice walks (HashSlice, Copy*) do by
+// construction. HashRange, the sampled gather, decodes nothing: it buckets
+// its gather list by block with one counting pass, reads each block's
+// sampled rows in place (GatherInt64Block / GatherCodesBlock), and writes
+// each hash back at its request position, so the output is identical to
+// per-row HashAt in request order.
 //
 // Thread safety / determinism: the decode scratch is thread_local (keyed
 // by column + block index), so concurrent scans never share mutable state

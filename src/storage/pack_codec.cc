@@ -323,6 +323,17 @@ void PrefixSumDeltas(uint64_t value, int64_t rows, const uint8_t* deltas,
 
 // Unsigned T is the code width.
 template <typename T>
+void GatherCodes(const uint8_t* payload, std::span<const uint32_t> offsets,
+                 int32_t* out) {
+  for (size_t j = 0; j < offsets.size(); ++j) {
+    T code;
+    std::memcpy(&code, payload + size_t{offsets[j]} * sizeof(T), sizeof(T));
+    out[j] = static_cast<int32_t>(code);
+  }
+}
+
+// Unsigned T is the code width.
+template <typename T>
 void WidenCodes(int64_t rows, const uint8_t* payload, int32_t* out) {
   for (int64_t i = 0; i < rows; ++i) {
     T code;
@@ -377,6 +388,48 @@ void DecodeCodesBlock(PackBlockCodec codec, uint8_t param, int64_t rows,
     default:
       NDV_DCHECK(param == 4);
       return WidenCodes<uint32_t>(rows, payload, out);
+  }
+}
+
+void GatherInt64Block(PackBlockCodec codec, uint8_t param, int64_t rows,
+                      const uint8_t* payload,
+                      std::span<const uint32_t> offsets, int64_t* out) {
+  NDV_DCHECK(rows >= 1);
+  if (offsets.empty()) return;
+  NDV_DCHECK_LT(int64_t{*std::max_element(offsets.begin(), offsets.end())},
+                rows);
+  if (codec == PackBlockCodec::kRaw) {
+    for (size_t j = 0; j < offsets.size(); ++j) {
+      std::memcpy(&out[j], payload + size_t{offsets[j]} * sizeof(int64_t),
+                  sizeof(int64_t));
+    }
+    return;
+  }
+  NDV_DCHECK(codec == PackBlockCodec::kDelta);
+  const uint64_t base = ReadLittleEndian(payload, 8);
+  if (param == 0) {  // Zero-order hold: every row equals the base.
+    std::fill(out, out + offsets.size(), static_cast<int64_t>(base));
+    return;
+  }
+  GatherDeltaValues(param, base, payload + 8, static_cast<size_t>(rows - 1),
+                    offsets, out);
+}
+
+void GatherCodesBlock(PackBlockCodec codec, uint8_t param,
+                      const uint8_t* payload,
+                      std::span<const uint32_t> offsets, int32_t* out) {
+  if (codec == PackBlockCodec::kRaw) {
+    return GatherCodes<uint32_t>(payload, offsets, out);
+  }
+  NDV_DCHECK(codec == PackBlockCodec::kDictCodes);
+  switch (param) {
+    case 1:
+      return GatherCodes<uint8_t>(payload, offsets, out);
+    case 2:
+      return GatherCodes<uint16_t>(payload, offsets, out);
+    default:
+      NDV_DCHECK(param == 4);
+      return GatherCodes<uint32_t>(payload, offsets, out);
   }
 }
 

@@ -151,6 +151,25 @@ void DecodeInt64Block(PackBlockCodec codec, uint8_t param, int64_t rows,
 void DecodeCodesBlock(PackBlockCodec codec, uint8_t param, int64_t rows,
                       const uint8_t* payload, int32_t* out);
 
+// --- In-place gather (reader side). ---------------------------------------
+
+// Reads a validated int64 block's values at `offsets` (any order, repeats
+// allowed, each < rows) into out[0, offsets.size()) without decoding the
+// block. A delta block runs GatherDeltaValues (common/simd_hash.h), which
+// keeps one running value per 16-byte chunk of deltas rather than per
+// row; width 0 is the base at every offset. Raw blocks are read in place.
+void GatherInt64Block(PackBlockCodec codec, uint8_t param, int64_t rows,
+                      const uint8_t* payload,
+                      std::span<const uint32_t> offsets, int64_t* out);
+
+// Reads a validated code block's codes at `offsets` (any order, each <
+// the block's rows) in place at their width into out[0, offsets.size()).
+// The parser checked every code against the dictionary, so each result
+// indexes it.
+void GatherCodesBlock(PackBlockCodec codec, uint8_t param,
+                      const uint8_t* payload,
+                      std::span<const uint32_t> offsets, int32_t* out);
+
 }  // namespace ndv
 
 #endif  // NDV_STORAGE_PACK_CODEC_H_

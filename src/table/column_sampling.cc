@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "common/check.h"
-#include "common/flat_hash.h"
 #include "sample/samplers.h"
 
 namespace ndv {
@@ -12,19 +11,20 @@ namespace ndv {
 SampleSummary SummarizeRows(const Column& column,
                             std::span<const int64_t> rows) {
   // One gather of the whole sample into an r-sized hash buffer, then one
-  // pass through the flat counter. The single HashRange call lets a
-  // blocked column group every sampled row by block and decode each
-  // touched block once; chunking the gather would re-touch every block
-  // per chunk. The profile depends only on the hashed multiset, so the
-  // buffer's order (request order) does not matter.
+  // count of it. The single HashRange call lets a blocked column bucket
+  // every sampled row by block and read each value in place
+  // (summing delta runs, reading dict codes at their width) without
+  // decoding a block; chunking the gather would re-walk every block per
+  // chunk. FromValues counts the buffer in one slot array sized for r, so
+  // the whole call costs O(r) plus sequential sums. The profile depends
+  // only on the hashed multiset, so the buffer's order (request order)
+  // does not matter.
   std::vector<uint64_t> hashes(rows.size());
   column.HashRange(rows, hashes.data());
-  FlatHashCounter counts;  // unreserved: d is typically far below r
-  for (const uint64_t hash : hashes) counts.Add(hash);
   SampleSummary summary;
   summary.table_rows = column.size();
   summary.sample_rows = static_cast<int64_t>(rows.size());
-  summary.freq = FrequencyProfile::FromHashCounter(counts);
+  summary.freq = FrequencyProfile::FromValues(hashes);
   summary.Validate();
   return summary;
 }

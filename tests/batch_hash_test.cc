@@ -2,9 +2,10 @@
 // the per-row HashAt path for every column type — heap columns and the
 // blocked columns of an ndvpack v2 pack under every codec — and the
 // parallel exact-NDV scan must return the same count at every thread
-// count. Blocked HashRange groups its gather list by block, so it is also
-// checked to decode each touched compressed block exactly once and to
-// leave sampled profiles independent of the gather order.
+// count. Blocked HashRange reads delta and dict blocks in place, so it is
+// also checked at every delta and dict width, to decode no block, to leave
+// sampled profiles independent of the gather order, and to give a sampled
+// ANALYZE of an auto-codec pack the heap table's result.
 
 #include <algorithm>
 #include <cmath>
@@ -18,6 +19,7 @@
 
 #include <gtest/gtest.h>
 
+#include "catalog/stats_catalog.h"
 #include "common/check.h"
 #include "common/random.h"
 #include "sample/samplers.h"
@@ -160,9 +162,10 @@ Table MakeHeapTable() {
 
 // Serializes `heap` as a v2 pack with small blocks under `codec` and opens
 // it from an 8-byte-aligned in-memory image that the columns keep alive.
-Table OpenAsPack(const Table& heap, PackCodecChoice codec) {
+Table OpenAsPack(const Table& heap, PackCodecChoice codec,
+                 int64_t block_rows = kPackBlockRows) {
   PackWriteOptions options;
-  options.block_rows = kPackBlockRows;
+  options.block_rows = block_rows;
   options.codec = codec;
   const std::string bytes = SerializePackV2(heap, options);
   auto words = std::make_shared<std::vector<uint64_t>>((bytes.size() + 7) / 8);
@@ -173,8 +176,9 @@ Table OpenAsPack(const Table& heap, PackCodecChoice codec) {
   return std::move(opened).value();
 }
 
-// The gather lists a blocked HashRange must answer in request order.
-std::vector<std::vector<int64_t>> GatherLists(int64_t n) {
+// The gather lists a blocked HashRange over blocks of `block_rows` must
+// answer in request order.
+std::vector<std::vector<int64_t>> GatherLists(int64_t n, int64_t block_rows) {
   Rng rng(71);
   std::vector<std::vector<int64_t>> lists;
   // Shuffled with repeats, spanning every block.
@@ -190,20 +194,30 @@ std::vector<std::vector<int64_t>> GatherLists(int64_t n) {
   lists.push_back(descending);
   // Confined to one block (the partial last one), shuffled with repeats.
   std::vector<int64_t> one_block;
-  const int64_t last_begin = (n - 1) / kPackBlockRows * kPackBlockRows;
+  const int64_t last_begin = (n - 1) / block_rows * block_rows;
   for (int64_t row = last_begin; row < n; ++row) {
     one_block.push_back(row);
     one_block.push_back(row);
   }
   rng.Shuffle(one_block);
   lists.push_back(one_block);
+  // Both edges of every block (the last one short), twice each, shuffled.
+  std::vector<int64_t> edges;
+  for (int64_t begin = 0; begin < n; begin += block_rows) {
+    const int64_t last = std::min(begin + block_rows, n) - 1;
+    for (const int64_t row : {begin, last, begin, last}) edges.push_back(row);
+  }
+  rng.Shuffle(edges);
+  lists.push_back(edges);
   // Empty.
   lists.emplace_back();
   return lists;
 }
 
-void ExpectGathersMatchPerRow(const Column& column) {
-  for (const std::vector<int64_t>& rows : GatherLists(column.size())) {
+void ExpectGathersMatchPerRow(const Column& column,
+                              int64_t block_rows = kPackBlockRows) {
+  for (const std::vector<int64_t>& rows :
+       GatherLists(column.size(), block_rows)) {
     SCOPED_TRACE("gather of " + std::to_string(rows.size()) + " rows");
     // One sentinel slot past the end must stay untouched.
     std::vector<uint64_t> out(rows.size() + 1, 0xdeadbeefULL);
@@ -264,10 +278,12 @@ TEST(BlockedBatchHashTest, SampleProfileDoesNotDependOnGatherOrder) {
   }
 }
 
-// The regression guard for gather order that does not depend on timing: a
-// shuffled gather over k compressed blocks decodes exactly k blocks, where
-// a per-row gather through the one-block cache decodes about one per row.
-TEST(BlockedBatchHashTest, ShuffledGatherDecodesEachTouchedBlockOnce) {
+// The regression guard that does not depend on timing: a gather reads
+// delta and dict blocks in place, so a shuffled gather over compressed
+// blocks decodes none of them (a per-row gather through the one-block
+// cache would decode about one per row, a whole-block gather one per
+// touched block).
+TEST(BlockedBatchHashTest, GatherDecodesNoBlock) {
   const Table heap = MakeHeapTable();
   const std::vector<int64_t> touched_blocks = {1, 4, 7, 10};  // 10 = partial
   for (const auto& [codec, name] :
@@ -287,17 +303,190 @@ TEST(BlockedBatchHashTest, ShuffledGatherDecodesEachTouchedBlockOnce) {
       }
     }
     rng.Shuffle(rows);
-    // Leave block 0 in this thread's decode cache, so none of the touched
-    // blocks starts out decoded.
-    (void)column.HashAt(0);
 
     std::vector<uint64_t> out(rows.size());
     const int64_t before = BlockDecodeCount();
     column.HashRange(rows, out.data());
-    EXPECT_EQ(BlockDecodeCount() - before,
-              static_cast<int64_t>(touched_blocks.size()));
+    EXPECT_EQ(BlockDecodeCount() - before, 0);
     for (size_t i = 0; i < rows.size(); ++i) {
       ASSERT_EQ(out[i], column.HashAt(rows[i]));
+    }
+  }
+}
+
+// An int64 column whose every block needs exactly `width` delta bytes:
+// random steps over the width's range, one per block at its most negative
+// value (width 0: a constant column).
+std::unique_ptr<Column> DeltaWidthColumn(int width, uint64_t seed) {
+  Rng rng(seed);
+  const uint64_t span = width == 8 ? 0 : uint64_t{1} << (8 * width);
+  std::vector<int64_t> values;
+  uint64_t value = 0x0123456789abcdefULL;
+  for (int64_t i = 0; i < kPackRows; ++i) {
+    uint64_t step = 0;
+    if (width == 8) {
+      step = i % kPackBlockRows == 1 ? uint64_t{1} << 63 : rng.NextU64();
+    } else if (width > 0) {
+      step = i % kPackBlockRows == 1 ? 0 : rng.NextBounded(span);
+      step -= span / 2;  // A signed step in [-span/2, span/2).
+    }
+    value += step;
+    values.push_back(static_cast<int64_t>(value));
+  }
+  return std::make_unique<Int64Column>(std::move(values));
+}
+
+// A string column whose dictionary codes need 1, then 2, then 4 bytes.
+// The writer numbers entries in first-appearance order, so the first
+// kWideDictEntries rows are distinct (the blocks of codes below 2^8, then
+// below 2^16, then above) and the rest repeat them at random, each block
+// once at the largest code, through a short last block.
+constexpr int64_t kWideDictEntries = 65600;
+
+std::unique_ptr<Column> WideDictColumn() {
+  std::vector<std::string> dictionary;
+  for (int64_t i = 0; i < kWideDictEntries; ++i) {
+    dictionary.push_back("entry_" + std::to_string(i));
+  }
+  Rng rng(137);
+  std::vector<int32_t> codes;
+  const int64_t rows = kWideDictEntries + 3 * kPackBlockRows + 37;
+  for (int64_t i = 0; i < rows; ++i) {
+    int64_t code = i;
+    if (i >= kWideDictEntries) {
+      code = i % kPackBlockRows == 5
+                 ? kWideDictEntries - 1
+                 : static_cast<int64_t>(rng.NextBounded(kWideDictEntries));
+    }
+    codes.push_back(static_cast<int32_t>(code));
+  }
+  return std::make_unique<StringColumn>(std::move(dictionary),
+                                        std::move(codes));
+}
+
+// The block directory of column `c` when `heap` is packed as OpenAsPack
+// packs it.
+std::vector<PackV2BlockInfo> ColumnBlocks(const Table& heap,
+                                          PackCodecChoice codec, int64_t c) {
+  PackWriteOptions options;
+  options.block_rows = kPackBlockRows;
+  options.codec = codec;
+  const std::string bytes = SerializePackV2(heap, options);
+  std::vector<uint64_t> words((bytes.size() + 7) / 8);
+  std::memcpy(words.data(), bytes.data(), bytes.size());
+  const auto info = InspectPackV2(
+      {reinterpret_cast<const uint8_t*>(words.data()), bytes.size()});
+  NDV_CHECK_MSG(info.ok(), "%s", info.status().ToString().c_str());
+  return info->columns[static_cast<size_t>(c)].blocks;
+}
+
+void ExpectPackedGathersMatchHeap(const Table& heap, PackCodecChoice codec) {
+  const Table pack = OpenAsPack(heap, codec);
+  for (int64_t c = 0; c < heap.NumColumns(); ++c) {
+    SCOPED_TRACE(heap.column_name(c));
+    ExpectGathersMatchPerRow(pack.column(c));
+    for (int64_t row = 0; row < heap.column(c).size(); ++row) {
+      ASSERT_EQ(pack.column(c).HashAt(row), heap.column(c).HashAt(row));
+    }
+  }
+}
+
+TEST(BlockedBatchHashTest, EveryDeltaWidthMatchesHashAt) {
+  Table heap;
+  for (const int width : {0, 1, 2, 4, 8}) {
+    heap.AddColumn("delta" + std::to_string(width),
+                   DeltaWidthColumn(width, 101 + width));
+    // Every block is coded at the width the column was built for.
+    for (const PackV2BlockInfo& block :
+         ColumnBlocks(heap, PackCodecChoice::kForceDelta,
+                      heap.NumColumns() - 1)) {
+      ASSERT_EQ(block.codec, PackBlockCodec::kDelta);
+      ASSERT_EQ(block.param, width);
+    }
+  }
+  ExpectPackedGathersMatchHeap(heap, PackCodecChoice::kForceDelta);
+}
+
+TEST(BlockedBatchHashTest, EveryDictWidthMatchesHashAt) {
+  Table heap;
+  heap.AddColumn("codes", WideDictColumn());
+  std::vector<int> widths;
+  for (const PackV2BlockInfo& block :
+       ColumnBlocks(heap, PackCodecChoice::kForceDict, 0)) {
+    ASSERT_EQ(block.codec, PackBlockCodec::kDictCodes);
+    widths.push_back(block.param);
+  }
+  for (const int width : {1, 2, 4}) {
+    EXPECT_NE(std::find(widths.begin(), widths.end(), width), widths.end())
+        << "no block of width " << width;
+  }
+  EXPECT_EQ(widths.back(), 4);  // The short last block.
+  ExpectPackedGathersMatchHeap(heap, PackCodecChoice::kForceDict);
+}
+
+// Block sizes that are not a power of two split rows by division, not by
+// shift and mask; 3 leaves two deltas per block (all in the short final
+// chunk), 100 a full chunk plus a short one at width 1.
+TEST(BlockedBatchHashTest, GatherMatchesHashAtAtBlockSizesNotPowersOfTwo) {
+  Table heap = MakeHeapTable();
+  heap.AddColumn("delta1", DeltaWidthColumn(1, 211));
+  heap.AddColumn("delta2", DeltaWidthColumn(2, 212));
+  for (const int64_t block_rows : {3, 100}) {
+    for (const PackCodecChoice codec :
+         {PackCodecChoice::kForceDelta, PackCodecChoice::kForceDict}) {
+      SCOPED_TRACE(std::to_string(block_rows) + " rows per block, " +
+                   PackCodecChoiceName(codec));
+      const Table pack = OpenAsPack(heap, codec, block_rows);
+      for (int64_t c = 0; c < pack.NumColumns(); ++c) {
+        SCOPED_TRACE(pack.column_name(c));
+        ExpectGathersMatchPerRow(pack.column(c), block_rows);
+        for (int64_t row = 0; row < heap.column(c).size(); ++row) {
+          ASSERT_EQ(pack.column(c).HashAt(row), heap.column(c).HashAt(row));
+        }
+      }
+    }
+  }
+}
+
+// End to end over the in-place gather: a sampled ANALYZE of an auto-codec
+// pack (delta-coded sorted keys, dict-coded labels, raw doubles and
+// skewed ints) publishes exactly what it publishes for the heap table.
+TEST(BlockedBatchHashTest, AnalyzeOfAnAutoCodecPackEqualsTheHeapTable) {
+  Rng rng(139);
+  std::vector<int64_t> keys;
+  std::vector<double> scores;
+  std::vector<std::string> labels;
+  std::vector<int64_t> items;
+  int64_t key = 1 << 20;
+  for (int64_t i = 0; i < 20000; ++i) {
+    key += 1 + static_cast<int64_t>(rng.NextBounded(4));
+    keys.push_back(key);
+    scores.push_back(rng.NextDouble());
+    labels.push_back("label-" + std::to_string(rng.NextBounded(50)));
+    items.push_back(static_cast<int64_t>(rng.NextBounded(3000) *
+                                         rng.NextBounded(3000)));
+  }
+  Table heap;
+  heap.AddColumn("key", std::make_unique<Int64Column>(std::move(keys)));
+  heap.AddColumn("score", std::make_unique<DoubleColumn>(std::move(scores)));
+  heap.AddColumn("label", std::make_unique<StringColumn>(labels));
+  heap.AddColumn("item", std::make_unique<Int64Column>(std::move(items)));
+  const Table pack = OpenAsPack(heap, PackCodecChoice::kAutoCodec);
+  // The pack does hold compressed blocks of both kinds.
+  for (const int64_t c : {0, 2}) {
+    const PackV2BlockInfo block =
+        ColumnBlocks(heap, PackCodecChoice::kAutoCodec, c).front();
+    EXPECT_NE(block.codec, PackBlockCodec::kRaw) << heap.column_name(c);
+  }
+  for (const uint64_t seed : {1, 2, 3}) {
+    AnalyzeOptions options;
+    options.sample_fraction = 0.02;
+    options.seed = seed;
+    for (const int threads : {1, 4}) {
+      options.threads = threads;
+      EXPECT_EQ(AnalyzeTable(pack, options).Serialize(),
+                AnalyzeTable(heap, options).Serialize())
+          << "seed " << seed << ", threads " << threads;
     }
   }
 }

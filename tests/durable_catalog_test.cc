@@ -6,6 +6,7 @@
 
 #include "catalog/durable_catalog.h"
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <cstdlib>
@@ -417,6 +418,83 @@ TEST(DurableCatalogTest, SnapshotEncodesToPinnedBytes) {
       dir + "/" + std::string(DurableCatalog::kSnapshotFile));
   ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
   EXPECT_EQ(ToHex(*snapshot), kGoldenSnapshotHex);
+}
+
+// A damaged header in front of intact records: one flipped bit in the
+// magic, or a damaged run that also covers the first record's length and
+// checksum (the later records stay intact). Open refuses instead of
+// truncating them, leaves the log as it was, and restoring the bytes
+// recovers the whole log.
+TEST(DurableCatalogTest, DamagedWalHeaderInFrontOfValidRecordsIsRefused) {
+  const std::string dir = TestDir("durable_damaged_header");
+  StatsCatalog model;
+  {
+    auto durable = OpenOrDie({.dir = dir, .snapshot_every_records = 0});
+    AppendPuts(durable.get(), 3, &model);
+  }
+  const std::string wal_path =
+      dir + "/" + std::string(DurableCatalog::kWalFile);
+  auto pristine = ReadFileOrStatus(wal_path);
+  ASSERT_TRUE(pristine.ok());
+  std::string flipped_bit = *pristine;
+  flipped_bit[0] = static_cast<char>(flipped_bit[0] ^ 0x01);
+  std::string damaged_run = *pristine;
+  std::fill_n(damaged_run.begin(), 8 + 16, '\xa5');
+  for (const std::string& damaged : {flipped_bit, damaged_run}) {
+    SCOPED_TRACE(ToHex(damaged.substr(0, 24)));
+    ASSERT_TRUE(AtomicWriteFile(wal_path, damaged, /*sync=*/false).ok());
+    auto failed =
+        DurableCatalog::Open({.dir = dir, .snapshot_every_records = 0});
+    ASSERT_FALSE(failed.ok());
+    EXPECT_EQ(failed.status().code(), StatusCode::kDataLoss);
+    EXPECT_NE(failed.status().message().find(wal_path), std::string::npos)
+        << failed.status().ToString();
+    auto after = ReadFileOrStatus(wal_path);
+    ASSERT_TRUE(after.ok());
+    EXPECT_EQ(*after, damaged);
+  }
+
+  ASSERT_TRUE(AtomicWriteFile(wal_path, *pristine, /*sync=*/false).ok());
+  auto recovered =
+      DurableCatalog::Open({.dir = dir, .snapshot_every_records = 0});
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  EXPECT_EQ((*recovered)->epoch(), 3u);
+  EXPECT_EQ((*recovered)->state().Serialize(), model.Serialize());
+}
+
+// A log shorter than its header, or a foreign header with no valid record
+// behind it, holds nothing to keep: the log restarts empty.
+TEST(DurableCatalogTest, WalWithNoValidRecordBehindItsHeaderRestarts) {
+  const std::string one_frame = [] {
+    const std::string dir = TestDir("durable_restart_src");
+    StatsCatalog model;
+    auto durable = OpenOrDie({.dir = dir, .snapshot_every_records = 0});
+    AppendPuts(durable.get(), 1, &model);
+    auto bytes = ReadFileOrStatus(dir + "/" +
+                                  std::string(DurableCatalog::kWalFile));
+    EXPECT_TRUE(bytes.ok());
+    return bytes->substr(8);
+  }();
+  std::string corrupt_frame = one_frame;
+  corrupt_frame.back() = static_cast<char>(corrupt_frame.back() ^ 0x40);
+  for (const std::string& log :
+       {std::string("NDVW"), std::string("garbage!"),
+        "garbage!" + std::string(40, '\x5a'),
+        "garbage!" + std::string(40, '\0'), "garbage!" + corrupt_frame}) {
+    SCOPED_TRACE(ToHex(log.substr(0, 12)));
+    const std::string dir = TestDir("durable_restart");
+    ASSERT_TRUE(EnsureDirectory(dir).ok());
+    const std::string wal_path =
+        dir + "/" + std::string(DurableCatalog::kWalFile);
+    ASSERT_TRUE(AtomicWriteFile(wal_path, log, /*sync=*/false).ok());
+    auto recovered =
+        DurableCatalog::Open({.dir = dir, .snapshot_every_records = 0});
+    ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+    EXPECT_EQ((*recovered)->epoch(), 0u);
+    auto after = ReadFileOrStatus(wal_path);
+    ASSERT_TRUE(after.ok());
+    EXPECT_EQ(*after, "NDVWAL2\n");
+  }
 }
 
 TEST(DurableCatalogTest, VersionRuleRefusesOtherDigitsOnly) {

@@ -1,13 +1,15 @@
 #include "common/flat_hash.h"
 
+#include <algorithm>
 #include <cstdint>
-#include <unordered_map>
+#include <string>
 #include <unordered_set>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/random.h"
+#include "profile/frequency_profile.h"
 
 namespace ndv {
 namespace {
@@ -97,11 +99,9 @@ TEST(FlatHashSetTest, GrowthAcrossManyResizesKeepsEverything) {
     oracle.insert(key);
   }
   EXPECT_EQ(set.size(), static_cast<int64_t>(oracle.size()));
-  // Power-of-two capacity, load never above 3/4, peak reflects the largest
-  // table.
+  // Power-of-two capacity, load never above 3/4.
   EXPECT_EQ(set.Capacity() & (set.Capacity() - 1), 0);
-  EXPECT_LE(set.LoadFactor(), 0.75);
-  EXPECT_GE(set.PeakCapacity(), set.Capacity());
+  EXPECT_LE(set.size() * 4, set.Capacity() * 3);
   EXPECT_GE(set.MemoryBytes(), set.size() * 8);
   for (uint64_t key : oracle) EXPECT_TRUE(set.Contains(key));
 }
@@ -132,7 +132,6 @@ TEST(FlatHashSetTest, ReserveAvoidsRehash) {
   EXPECT_GE(initial_capacity, 1000);
   for (uint64_t i = 1; i <= 1000; ++i) set.Insert(i * 0x9e3779b97f4a7c15ULL);
   EXPECT_EQ(set.Capacity(), initial_capacity);
-  EXPECT_EQ(set.PeakCapacity(), initial_capacity);
 }
 
 TEST(FlatHashSetTest, ClearResets) {
@@ -146,108 +145,100 @@ TEST(FlatHashSetTest, ClearResets) {
 }
 
 // ---------------------------------------------------------------------------
-// FlatHashCounter
+// FrequencyProfile::FromValues: the counting table behind every sample
+// profile, checked against a sort-and-count reference.
 
-TEST(FlatHashCounterTest, CountsMatchUnorderedMapOracle) {
-  Rng rng(17);
-  FlatHashCounter counter;
-  // NOLINTNEXTLINE(ndv-no-std-hash-container): independent oracle —
-  // the test differentially checks FlatHash against the std container.
-  std::unordered_map<uint64_t, int64_t> oracle;
-  for (int i = 0; i < 50000; ++i) {
-    const uint64_t key = rng.NextBounded(2048) * 0xc4ceb9fe1a85ec53ULL;
-    const int64_t delta = 1 + static_cast<int64_t>(rng.NextBounded(3));
-    counter.Add(key, delta);
-    oracle[key] += delta;
+FrequencyProfile SortAndCount(std::vector<uint64_t> values) {
+  std::sort(values.begin(), values.end());
+  std::vector<int64_t> class_counts;
+  for (size_t i = 0; i < values.size();) {
+    size_t j = i;
+    while (j < values.size() && values[j] == values[i]) ++j;
+    class_counts.push_back(static_cast<int64_t>(j - i));
+    i = j;
   }
-  EXPECT_EQ(counter.size(), static_cast<int64_t>(oracle.size()));
-  for (const auto& [key, count] : oracle) {
-    EXPECT_EQ(counter.Count(key), count);
-  }
-  int64_t visited = 0;
-  counter.ForEach([&](uint64_t key, int64_t count) {
-    ++visited;
-    const auto it = oracle.find(key);
-    ASSERT_NE(it, oracle.end());
-    EXPECT_EQ(count, it->second);
-  });
-  EXPECT_EQ(visited, counter.size());
+  return FrequencyProfile::FromClassCounts(class_counts);
 }
 
-TEST(FlatHashCounterTest, ZeroAndMaxKeysCount) {
-  FlatHashCounter counter;
-  EXPECT_EQ(counter.Count(0), 0);
-  counter.Add(0);
-  counter.Add(0, 4);
-  counter.Add(UINT64_MAX, 2);
-  EXPECT_EQ(counter.Count(0), 5);
-  EXPECT_EQ(counter.Count(UINT64_MAX), 2);
-  EXPECT_EQ(counter.Count(1), 0);
-  EXPECT_EQ(counter.size(), 2);
+// r draws over d keys; key 0 is one of them, so hash 0 is always counted.
+std::vector<uint64_t> DrawValues(int64_t r, int64_t d, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<uint64_t> values;
+  values.reserve(static_cast<size_t>(r));
+  for (int64_t i = 0; i < r; ++i) {
+    // d == r: every key once, so the input is all-distinct.
+    const uint64_t k = d == r ? static_cast<uint64_t>(i)
+                              : rng.NextBounded(static_cast<uint64_t>(d));
+    values.push_back(k * 0x9e3779b97f4a7c15ULL);
+  }
+  rng.Shuffle(values);
+  return values;
 }
 
-TEST(FlatHashCounterTest, AdversarialKeysSharingLowBits) {
-  FlatHashCounter counter;
-  // NOLINTNEXTLINE(ndv-no-std-hash-container): independent oracle —
-  // the test differentially checks FlatHash against the std container.
-  std::unordered_map<uint64_t, int64_t> oracle;
+void ExpectMatchesReference(const std::vector<uint64_t>& values) {
+  const FrequencyProfile profile = FrequencyProfile::FromValues(values);
+  profile.Validate();
+  EXPECT_EQ(profile, SortAndCount(values));
+  EXPECT_EQ(profile.TotalCount(), static_cast<int64_t>(values.size()));
+}
+
+TEST(FromValuesTest, MatchesSortAndCountAcrossDistinctCounts) {
+  constexpr int64_t kRows = 10000;
+  for (const int64_t d : {int64_t{1}, int64_t{50}, int64_t{3000}, kRows}) {
+    SCOPED_TRACE("d = " + std::to_string(d));
+    const std::vector<uint64_t> values = DrawValues(kRows, d, 17 + d);
+    ExpectMatchesReference(values);
+    if (d == 1) {
+      // The one key is 0, counted out of line.
+      EXPECT_EQ(FrequencyProfile::FromValues(values).f(kRows), 1);
+    }
+    if (d == kRows) {
+      EXPECT_EQ(FrequencyProfile::FromValues(values).f(1), kRows);
+    }
+  }
+}
+
+TEST(FromValuesTest, InputsBeyondThePresizeCapGrowAndStayExact) {
+  // Presizing stops at 2^15 keys (2^16 slots): d = 70,000 and the
+  // all-distinct input double the table past it, d = 50 stays in it.
+  constexpr int64_t kRows = 200000;
+  for (const int64_t d : {int64_t{50}, int64_t{70000}, kRows}) {
+    SCOPED_TRACE("d = " + std::to_string(d));
+    ExpectMatchesReference(DrawValues(kRows, d, 23 + d));
+  }
+}
+
+TEST(FromValuesTest, AdversarialKeysSharingLowBits) {
+  // Every key lands in slot 0 of any table up to 2^40 slots: the longest
+  // probe chains linear probing can see, through the table's growth.
+  std::vector<uint64_t> values;
   for (uint64_t i = 1; i <= 1500; ++i) {
-    const uint64_t key = i << 40;
-    const int64_t delta = static_cast<int64_t>(i % 5) + 1;
-    counter.Add(key, delta);
-    oracle[key] += delta;
+    for (uint64_t c = 0; c <= i % 5; ++c) values.push_back(i << 40);
   }
-  for (const auto& [key, count] : oracle) {
-    EXPECT_EQ(counter.Count(key), count);
-  }
-  EXPECT_EQ(counter.size(), 1500);
+  values.push_back(0);
+  ExpectMatchesReference(values);
 }
 
-TEST(FlatHashCounterTest, GrowthAcrossManyResizesPreservesCounts) {
-  FlatHashCounter counter;
-  // NOLINTNEXTLINE(ndv-no-std-hash-container): independent oracle —
-  // the test differentially checks FlatHash against the std container.
-  std::unordered_map<uint64_t, int64_t> oracle;
-  Rng rng(23);
-  for (int i = 0; i < 200000; ++i) {
-    const uint64_t key = rng.NextBounded(150000) + 1;
-    counter.Add(key);
-    ++oracle[key];
-  }
-  EXPECT_EQ(counter.size(), static_cast<int64_t>(oracle.size()));
-  EXPECT_EQ(counter.Capacity() & (counter.Capacity() - 1), 0);
-  EXPECT_LE(counter.LoadFactor(), 0.75);
-  EXPECT_GE(counter.PeakCapacity(), counter.Capacity());
-  for (const auto& [key, count] : oracle) {
-    EXPECT_EQ(counter.Count(key), count);
-  }
-  // Total mass is preserved through every rehash.
-  int64_t total = 0;
-  counter.ForEach([&](uint64_t, int64_t count) { total += count; });
-  EXPECT_EQ(total, 200000);
+TEST(FromValuesTest, ZeroAndMaxKeys) {
+  ExpectMatchesReference({0, 0, UINT64_MAX, 0, UINT64_MAX, 1});
+  const FrequencyProfile profile =
+      FrequencyProfile::FromValues(std::vector<uint64_t>{0, 0, UINT64_MAX});
+  EXPECT_EQ(profile.f(1), 1);
+  EXPECT_EQ(profile.f(2), 1);
 }
 
-TEST(FlatHashCounterTest, PeakCapacityOutlivesFinalSize) {
-  // Grow past several doublings; the peak is the largest table, which for
-  // a counter with no erase equals the final capacity — and both exceed
-  // the bare element count.
-  FlatHashCounter counter;
-  for (uint64_t i = 1; i <= 100; ++i) counter.Add(i * 0x9e3779b97f4a7c15ULL);
-  EXPECT_EQ(counter.PeakCapacity(), counter.Capacity());
-  EXPECT_GT(counter.PeakCapacity(), counter.size());
-  EXPECT_GT(counter.MemoryBytes(), 0);
+TEST(FromValuesTest, EmptyInputIsAnEmptyProfile) {
+  const FrequencyProfile profile = FrequencyProfile::FromValues({});
+  EXPECT_TRUE(profile.empty());
+  EXPECT_EQ(profile.DistinctValues(), 0);
+  EXPECT_EQ(profile.MaxFrequency(), 0);
 }
 
-TEST(FlatHashCounterTest, EmptyCounter) {
-  FlatHashCounter counter;
-  EXPECT_TRUE(counter.empty());
-  EXPECT_EQ(counter.Capacity(), 0);
-  EXPECT_EQ(counter.PeakCapacity(), 0);
-  EXPECT_EQ(counter.LoadFactor(), 0.0);
-  EXPECT_EQ(counter.MemoryBytes(), 0);
-  int64_t visited = 0;
-  counter.ForEach([&](uint64_t, int64_t) { ++visited; });
-  EXPECT_EQ(visited, 0);
+TEST(FromValuesTest, OrderDoesNotMatter) {
+  std::vector<uint64_t> values = DrawValues(5000, 700, 29);
+  const FrequencyProfile shuffled = FrequencyProfile::FromValues(values);
+  std::sort(values.begin(), values.end());
+  EXPECT_EQ(FrequencyProfile::FromValues(values), shuffled);
 }
 
 }  // namespace

@@ -460,11 +460,11 @@ TEST(PackV2Test, AnalyzeMatchesHeapAtEveryThreadCount) {
   }
 }
 
-TEST(PackV2Test, DistributedAnalyzeMatchesHeapAndDecodesEachBlockOnce) {
-  // Distributed workers draw rows with Floyd and hash them in one
-  // block-grouped gather: over lazily decoded blocks the result must equal
-  // the heap column's at every thread count, and each worker decodes each
-  // block it touches once.
+TEST(PackV2Test, DistributedAnalyzeMatchesHeapAndDecodesNoBlock) {
+  // Distributed workers draw rows with Floyd and hash them in one gather
+  // that reads blocks in place: over compressed blocks the result must
+  // equal the heap column's at every thread count, and no worker decodes
+  // a block.
   const Table heap = MakeMixedTable(20000);
   PackWriteOptions write;
   write.block_rows = 256;
@@ -502,9 +502,6 @@ TEST(PackV2Test, DistributedAnalyzeMatchesHeapAndDecodesEachBlockOnce) {
     }
   }
 
-  // One thread runs the partitions in order through one decode cache. A
-  // shard decodes each block it touches once; only a block straddling two
-  // shards can be decoded twice, so the bound is blocks + partitions - 1.
   write.codec = PackCodecChoice::kForceDelta;
   const AlignedImage delta_image(SerializePackV2(heap, write));
   const Table delta = OpenV2OrDie(delta_image);
@@ -519,8 +516,7 @@ TEST(PackV2Test, DistributedAnalyzeMatchesHeapAndDecodesEachBlockOnce) {
   options.threads = 1;
   const int64_t before = BlockDecodeCount();
   ASSERT_TRUE(DistributedAnalyze(*ints, "ints", options).ok());
-  EXPECT_LE(BlockDecodeCount() - before,
-            static_cast<int64_t>(blocks.size()) + options.partitions - 1);
+  EXPECT_EQ(BlockDecodeCount() - before, 0);
 }
 
 }  // namespace
