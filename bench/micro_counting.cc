@@ -17,7 +17,7 @@
 
 #include "common/flat_hash.h"
 #include "common/random.h"
-#include "common/simd_hash.h"
+#include "common/value_hash.h"
 #include "profile/frequency_profile.h"
 #include "table/column.h"
 #include "table/table.h"
@@ -103,32 +103,23 @@ void BM_HashSliceBatch(benchmark::State& state) {
 BENCHMARK(BM_HashSliceBatch)->Arg(kUniform);
 
 // --------------------------------------------------------------------------
-// SIMD hash kernels: the scalar reference vs whatever the dispatcher
-// resolved for this host (NDV_SIMD overrides; the CI bench smoke runs both
-// NDV_SIMD=scalar and native, so the two rows bracket the vector speedup).
-// Arg 0 = forced scalar, arg 1 = the active dispatch level.
-
-ndv::SimdLevel LevelArg(int64_t arg) {
-  return arg == 0 ? ndv::SimdLevel::kScalar : ndv::ActiveSimdLevel();
-}
+// The batch hash loops of common/value_hash.h, one per value type, over
+// 1M values.
 
 void BM_HashInt64Kernel(benchmark::State& state) {
-  const ndv::SimdLevel level = LevelArg(state.range(0));
   ndv::Rng rng(31);
   std::vector<int64_t> values(kRows);
   for (auto& v : values) v = static_cast<int64_t>(rng.NextU64());
   std::vector<uint64_t> out(kRows);
   for (auto _ : state) {
-    ndv::HashInt64SpanAt(level, values.data(), values.size(), out.data());
+    ndv::HashInt64Span(values.data(), values.size(), out.data());
     benchmark::DoNotOptimize(out.data());
   }
   state.SetItemsProcessed(state.iterations() * kRows);
-  state.SetLabel(ndv::SimdLevelName(level));
 }
-BENCHMARK(BM_HashInt64Kernel)->Arg(0)->Arg(1);
+BENCHMARK(BM_HashInt64Kernel);
 
 void BM_HashDoubleKernel(benchmark::State& state) {
-  const ndv::SimdLevel level = LevelArg(state.range(0));
   ndv::Rng rng(37);
   std::vector<double> values(kRows);
   for (auto& v : values) {
@@ -136,16 +127,14 @@ void BM_HashDoubleKernel(benchmark::State& state) {
   }
   std::vector<uint64_t> out(kRows);
   for (auto _ : state) {
-    ndv::HashDoubleSpanAt(level, values.data(), values.size(), out.data());
+    ndv::HashDoubleSpan(values.data(), values.size(), out.data());
     benchmark::DoNotOptimize(out.data());
   }
   state.SetItemsProcessed(state.iterations() * kRows);
-  state.SetLabel(ndv::SimdLevelName(level));
 }
-BENCHMARK(BM_HashDoubleKernel)->Arg(0)->Arg(1);
+BENCHMARK(BM_HashDoubleKernel);
 
 void BM_HashCodesKernel(benchmark::State& state) {
-  const ndv::SimdLevel level = LevelArg(state.range(0));
   ndv::Rng rng(41);
   constexpr size_t kDict = 5000;
   std::vector<uint64_t> lut(kDict);
@@ -154,14 +143,13 @@ void BM_HashCodesKernel(benchmark::State& state) {
   for (auto& c : codes) c = static_cast<int32_t>(rng.NextBounded(kDict));
   std::vector<uint64_t> out(kRows);
   for (auto _ : state) {
-    ndv::HashLookupCodes32At(level, codes.data(), lut.data(), codes.size(),
-                             out.data());
+    ndv::HashLookupCodes32(codes.data(), lut.data(), codes.size(),
+                           out.data());
     benchmark::DoNotOptimize(out.data());
   }
   state.SetItemsProcessed(state.iterations() * kRows);
-  state.SetLabel(ndv::SimdLevelName(level));
 }
-BENCHMARK(BM_HashCodesKernel)->Arg(0)->Arg(1);
+BENCHMARK(BM_HashCodesKernel);
 
 // --------------------------------------------------------------------------
 // Distinct counting: unordered_set (the old ExactDistinctHashSet) vs
@@ -206,7 +194,8 @@ BENCHMARK(BM_DistinctFlatSetParallel)->Arg(kUniform)->Arg(kAllDistinct);
 
 // --------------------------------------------------------------------------
 // Frequency profile build: unordered_map counting (the old
-// FrequencyProfile::FromValues interior) vs the flat counter.
+// FrequencyProfile::FromValues interior) vs FromValues, which counts in
+// one slot array sized for its input.
 
 void BM_ProfileUnorderedMap(benchmark::State& state) {
   const auto column = MakeColumn(state.range(0));
@@ -224,7 +213,7 @@ void BM_ProfileUnorderedMap(benchmark::State& state) {
 }
 BENCHMARK(BM_ProfileUnorderedMap)->Arg(kUniform)->Arg(kZipfian);
 
-void BM_ProfileFlatCounter(benchmark::State& state) {
+void BM_ProfileFromValues(benchmark::State& state) {
   const auto column = MakeColumn(state.range(0));
   const std::vector<uint64_t> hashes = column->HashAll();
   for (auto _ : state) {
@@ -234,7 +223,7 @@ void BM_ProfileFlatCounter(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * kRows);
   state.SetLabel(KindName(state.range(0)));
 }
-BENCHMARK(BM_ProfileFlatCounter)->Arg(kUniform)->Arg(kZipfian);
+BENCHMARK(BM_ProfileFromValues)->Arg(kUniform)->Arg(kZipfian);
 
 // --------------------------------------------------------------------------
 // String columns: dictionary-coded batch hashing (code -> precomputed

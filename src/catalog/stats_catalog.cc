@@ -27,6 +27,25 @@ std::string EscapeName(std::string_view name) {
   return out;
 }
 
+// The exact statistics of column `c`: the ground-truth pass of exact
+// mode, and what a sampled ANALYZE publishes for a zero-row column, which
+// it cannot sample and knows exactly (estimate 0, bracket [0, 0]).
+ColumnStats ExactColumnStats(const Table& table, int64_t c,
+                             int scan_threads) {
+  const Column& column = table.column(c);
+  const int64_t exact = ExactDistinctHashSet(column, scan_threads);
+  ColumnStats stats;
+  stats.column_name = table.column_name(c);
+  stats.table_rows = column.size();
+  stats.sample_rows = column.size();
+  stats.sample_distinct = exact;
+  stats.estimate = static_cast<double>(exact);
+  stats.lower = static_cast<double>(exact);
+  stats.upper = static_cast<double>(exact);
+  stats.method = "EXACT";
+  return stats;
+}
+
 }  // namespace
 
 void StatsCatalog::Put(ColumnStats stats) {
@@ -107,18 +126,8 @@ StatsCatalog AnalyzeTable(const Table& table, const AnalyzeOptions& options) {
     std::vector<ColumnStats> per_column(
         static_cast<size_t>(table.NumColumns()));
     const auto analyze_column = [&](int64_t c, int scan_threads) {
-      const Column& column = table.column(c);
-      const int64_t exact = ExactDistinctHashSet(column, scan_threads);
-      ColumnStats stats;
-      stats.column_name = table.column_name(c);
-      stats.table_rows = column.size();
-      stats.sample_rows = column.size();
-      stats.sample_distinct = exact;
-      stats.estimate = static_cast<double>(exact);
-      stats.lower = static_cast<double>(exact);
-      stats.upper = static_cast<double>(exact);
-      stats.method = "EXACT";
-      per_column[static_cast<size_t>(c)] = std::move(stats);
+      per_column[static_cast<size_t>(c)] =
+          ExactColumnStats(table, c, scan_threads);
     };
     if (table.NumColumns() >= workers) {
       ParallelFor(table.NumColumns(), workers,
@@ -150,6 +159,10 @@ StatsCatalog AnalyzeTable(const Table& table, const AnalyzeOptions& options) {
       static_cast<size_t>(table.NumColumns()));
   ParallelFor(table.NumColumns(), ResolveThreadCount(options.threads),
               [&](int64_t c) {
+    if (table.column(c).size() == 0) {
+      per_column[static_cast<size_t>(c)] = ExactColumnStats(table, c, 1);
+      return;
+    }
     const SampleSummary sample = SampleColumnFraction(
         table.column(c), options.sample_fraction,
         column_rngs[static_cast<size_t>(c)]);

@@ -113,8 +113,10 @@ class StatsCatalog {
   std::vector<ColumnStats> entries_;
 };
 
-// Samples every column of `table` and builds its catalog. Aborts if
-// options.estimator names an unknown estimator.
+// Samples every column of `table` and builds its catalog. A zero-row
+// column is published as exact mode publishes it (method "EXACT", estimate
+// 0, [0, 0], sample_rows 0). Aborts if options.estimator names an unknown
+// estimator.
 StatsCatalog AnalyzeTable(const Table& table, const AnalyzeOptions& options);
 
 }  // namespace ndv

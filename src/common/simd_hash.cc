@@ -8,14 +8,7 @@
 #include <vector>
 
 #include "common/check.h"
-#include "common/random.h"
 #include "common/simd_hash_internal.h"
-#include "table/column.h"
-
-#if defined(__aarch64__) && defined(__ARM_NEON)
-#include <arm_neon.h>
-#define NDV_HAVE_NEON 1
-#endif
 
 namespace ndv {
 
@@ -27,39 +20,6 @@ namespace ndv {
 #endif
 
 namespace {
-
-// --- Scalar reference kernels. --------------------------------------------
-// These define the bit pattern every other level must reproduce; they call
-// the exact same Hash64 / HashDoubleValue the per-row HashAt paths use.
-
-void HashInt64SpanScalar(const int64_t* values, size_t count, uint64_t* out) {
-  for (size_t i = 0; i < count; ++i) {
-    out[i] = Hash64(static_cast<uint64_t>(values[i]));
-  }
-}
-
-void HashDoubleSpanScalar(const double* values, size_t count, uint64_t* out) {
-  for (size_t i = 0; i < count; ++i) out[i] = HashDoubleValue(values[i]);
-}
-
-void HashInt64GatherScalar(const int64_t* base, const int64_t* rows,
-                           size_t count, uint64_t* out) {
-  for (size_t i = 0; i < count; ++i) {
-    out[i] = Hash64(static_cast<uint64_t>(base[rows[i]]));
-  }
-}
-
-void HashDoubleGatherScalar(const double* base, const int64_t* rows,
-                            size_t count, uint64_t* out) {
-  for (size_t i = 0; i < count; ++i) out[i] = HashDoubleValue(base[rows[i]]);
-}
-
-void HashLookupCodes32Scalar(const int32_t* codes, const uint64_t* lut,
-                             size_t count, uint64_t* out) {
-  for (size_t i = 0; i < count; ++i) {
-    out[i] = lut[static_cast<uint32_t>(codes[i])];
-  }
-}
 
 // --- CRC-64/NVME slicing-by-8 table. -------------------------------------
 // kCrcTables[0][b] advances the register over one byte b; kCrcTables[k][b]
@@ -89,36 +49,9 @@ constexpr CrcTables MakeCrcTables() {
 
 constexpr CrcTables kCrcTables = MakeCrcTables();
 
-// --- NEON: vectorized double canonicalization, scalar mixing. -------------
-// aarch64 NEON has no 64x64 vector multiply, so the Hash64 mix stays
-// scalar; the win is the branch-free canonicalization of -0.0 / NaN.
-
-#if defined(NDV_HAVE_NEON)
-void HashDoubleSpanNeon(const double* values, size_t count, uint64_t* out) {
-  const uint64x2_t abs_mask = vdupq_n_u64(0x7fffffffffffffffULL);
-  const uint64x2_t exp_mask = vdupq_n_u64(0x7ff0000000000000ULL);
-  const uint64x2_t qnan = vdupq_n_u64(0x7ff8000000000000ULL);
-  size_t i = 0;
-  for (; i + 2 <= count; i += 2) {
-    uint64x2_t bits = vreinterpretq_u64_f64(vld1q_f64(values + i));
-    const uint64x2_t abs = vandq_u64(bits, abs_mask);
-    // +-0.0 -> +0.0: magnitude zero means the whole word becomes zero.
-    const uint64x2_t zero_mask = vceqq_u64(abs, vdupq_n_u64(0));
-    bits = vbicq_u64(bits, zero_mask);
-    // NaN (magnitude > exponent-all-ones) -> one canonical quiet NaN.
-    const uint64x2_t nan_mask = vcgtq_u64(abs, exp_mask);
-    bits = vbslq_u64(nan_mask, qnan, bits);
-    out[i] = Hash64(vgetq_lane_u64(bits, 0));
-    out[i + 1] = Hash64(vgetq_lane_u64(bits, 1));
-  }
-  for (; i < count; ++i) out[i] = HashDoubleValue(values[i]);
-}
-#endif
-
 SimdLevel DetectWidestLevel() {
-  if (SimdLevelAvailable(SimdLevel::kAvx2)) return SimdLevel::kAvx2;
-  if (SimdLevelAvailable(SimdLevel::kNeon)) return SimdLevel::kNeon;
-  return SimdLevel::kScalar;
+  return SimdLevelAvailable(SimdLevel::kAvx2) ? SimdLevel::kAvx2
+                                              : SimdLevel::kScalar;
 }
 
 SimdLevel ResolveActiveLevel() {
@@ -128,7 +61,7 @@ SimdLevel ResolveActiveLevel() {
   if (!ParseSimdLevel(env, &requested)) {
     std::fprintf(stderr,
                  "ndv: unknown NDV_SIMD value '%s' "
-                 "(use scalar|avx2|neon|native); using native dispatch\n",
+                 "(use scalar|avx2|native); using native dispatch\n",
                  env);
     return DetectWidestLevel();
   }
@@ -150,8 +83,6 @@ const char* SimdLevelName(SimdLevel level) {
       return "scalar";
     case SimdLevel::kAvx2:
       return "avx2";
-    case SimdLevel::kNeon:
-      return "neon";
   }
   return "unknown";
 }
@@ -164,12 +95,6 @@ bool SimdLevelAvailable(SimdLevel level) {
 #if defined(NDV_HAVE_AVX2_TU)
       return __builtin_cpu_supports("avx2") != 0 &&
              __builtin_cpu_supports("pclmul") != 0;
-#else
-      return false;
-#endif
-    case SimdLevel::kNeon:
-#if defined(NDV_HAVE_NEON)
-      return true;
 #else
       return false;
 #endif
@@ -186,10 +111,6 @@ bool ParseSimdLevel(std::string_view text, SimdLevel* out) {
     *out = SimdLevel::kAvx2;
     return true;
   }
-  if (text == "neon") {
-    *out = SimdLevel::kNeon;
-    return true;
-  }
   if (text == "native" || text.empty()) {
     *out = DetectWidestLevel();
     return true;
@@ -200,93 +121,6 @@ bool ParseSimdLevel(std::string_view text, SimdLevel* out) {
 SimdLevel ActiveSimdLevel() {
   static const SimdLevel level = ResolveActiveLevel();
   return level;
-}
-
-// --- Explicit-level entry points. -----------------------------------------
-
-void HashInt64SpanAt(SimdLevel level, const int64_t* values, size_t count,
-                     uint64_t* out) {
-  NDV_CHECK_MSG(SimdLevelAvailable(level), "SIMD level %s unavailable",
-                SimdLevelName(level));
-  switch (level) {
-#if defined(NDV_HAVE_AVX2_TU)
-    case SimdLevel::kAvx2:
-      simd_internal::HashInt64SpanAvx2(values, count, out);
-      return;
-#endif
-    default:
-      HashInt64SpanScalar(values, count, out);
-      return;
-  }
-}
-
-void HashDoubleSpanAt(SimdLevel level, const double* values, size_t count,
-                      uint64_t* out) {
-  NDV_CHECK_MSG(SimdLevelAvailable(level), "SIMD level %s unavailable",
-                SimdLevelName(level));
-  switch (level) {
-#if defined(NDV_HAVE_AVX2_TU)
-    case SimdLevel::kAvx2:
-      simd_internal::HashDoubleSpanAvx2(values, count, out);
-      return;
-#endif
-#if defined(NDV_HAVE_NEON)
-    case SimdLevel::kNeon:
-      HashDoubleSpanNeon(values, count, out);
-      return;
-#endif
-    default:
-      HashDoubleSpanScalar(values, count, out);
-      return;
-  }
-}
-
-void HashInt64GatherAt(SimdLevel level, const int64_t* base,
-                       const int64_t* rows, size_t count, uint64_t* out) {
-  NDV_CHECK_MSG(SimdLevelAvailable(level), "SIMD level %s unavailable",
-                SimdLevelName(level));
-  switch (level) {
-#if defined(NDV_HAVE_AVX2_TU)
-    case SimdLevel::kAvx2:
-      simd_internal::HashInt64GatherAvx2(base, rows, count, out);
-      return;
-#endif
-    default:
-      HashInt64GatherScalar(base, rows, count, out);
-      return;
-  }
-}
-
-void HashDoubleGatherAt(SimdLevel level, const double* base,
-                        const int64_t* rows, size_t count, uint64_t* out) {
-  NDV_CHECK_MSG(SimdLevelAvailable(level), "SIMD level %s unavailable",
-                SimdLevelName(level));
-  switch (level) {
-#if defined(NDV_HAVE_AVX2_TU)
-    case SimdLevel::kAvx2:
-      simd_internal::HashDoubleGatherAvx2(base, rows, count, out);
-      return;
-#endif
-    default:
-      HashDoubleGatherScalar(base, rows, count, out);
-      return;
-  }
-}
-
-void HashLookupCodes32At(SimdLevel level, const int32_t* codes,
-                         const uint64_t* lut, size_t count, uint64_t* out) {
-  NDV_CHECK_MSG(SimdLevelAvailable(level), "SIMD level %s unavailable",
-                SimdLevelName(level));
-  switch (level) {
-#if defined(NDV_HAVE_AVX2_TU)
-    case SimdLevel::kAvx2:
-      simd_internal::HashLookupCodes32Avx2(codes, lut, count, out);
-      return;
-#endif
-    default:
-      HashLookupCodes32Scalar(codes, lut, count, out);
-      return;
-  }
 }
 
 uint64_t Crc64NvmeUpdateAt(SimdLevel level, uint64_t crc,
@@ -301,31 +135,6 @@ uint64_t Crc64NvmeUpdateAt(SimdLevel level, uint64_t crc,
     default:
       return simd_internal::Crc64NvmeUpdateTable(crc, bytes, count);
   }
-}
-
-// --- Dispatching entry points. --------------------------------------------
-
-void HashInt64Span(const int64_t* values, size_t count, uint64_t* out) {
-  HashInt64SpanAt(ActiveSimdLevel(), values, count, out);
-}
-
-void HashDoubleSpan(const double* values, size_t count, uint64_t* out) {
-  HashDoubleSpanAt(ActiveSimdLevel(), values, count, out);
-}
-
-void HashInt64Gather(const int64_t* base, const int64_t* rows, size_t count,
-                     uint64_t* out) {
-  HashInt64GatherAt(ActiveSimdLevel(), base, rows, count, out);
-}
-
-void HashDoubleGather(const double* base, const int64_t* rows, size_t count,
-                      uint64_t* out) {
-  HashDoubleGatherAt(ActiveSimdLevel(), base, rows, count, out);
-}
-
-void HashLookupCodes32(const int32_t* codes, const uint64_t* lut,
-                       size_t count, uint64_t* out) {
-  HashLookupCodes32At(ActiveSimdLevel(), codes, lut, count, out);
 }
 
 uint64_t Crc64NvmeUpdate(uint64_t crc, const uint8_t* bytes, size_t count) {

@@ -1,17 +1,9 @@
-// AVX2 batch-hash kernels (4 x 64-bit lanes) and the PCLMULQDQ CRC-64/NVME
-// fold. This translation unit is the only one compiled with -mavx2
-// -mpclmul; it is reached exclusively through the runtime dispatch in
-// simd_hash.cc after a CPUID check, so the rest of the binary keeps its
-// baseline ISA.
+// The PCLMULQDQ CRC-64/NVME fold and the delta-gather chunk sums. This
+// translation unit is the only one compiled with -mavx2 -mpclmul; it is
+// reached exclusively through the runtime dispatch in simd_hash.cc after a
+// CPUID check, so the rest of the binary keeps its baseline ISA.
 //
 // Bit-identity with the scalar kernels is the contract (DESIGN.md §15):
-//   - Hash64's two 64x64 multiplies are synthesized from _mm256_mul_epu32
-//     (32x32 -> 64) partial products, which is exact for the low 64 bits —
-//     the only bits Hash64 keeps.
-//   - Double canonicalization mirrors HashDoubleValue on bit patterns:
-//     magnitude zero (+0.0 / -0.0) becomes the +0.0 word, any magnitude
-//     above the infinity pattern (i.e. every NaN payload, signed or not)
-//     becomes the canonical quiet NaN word.
 //   - The delta-gather chunk sums (widths 1 and 2) are wrapping integer
 //     sums, exact in any order; the lane masks drop the deltas past the
 //     requested count.
@@ -26,60 +18,12 @@
 #include <cstddef>
 #include <cstdint>
 
-#include "common/random.h"
 #include "common/simd_hash_internal.h"
-#include "common/value_hash.h"
 
 namespace ndv {
 namespace simd_internal {
 
 namespace {
-
-// Low 64 bits of a*b per lane, exact: (a_lo*b_lo) + ((a_lo*b_hi +
-// a_hi*b_lo) << 32). The dropped a_hi*b_hi term only feeds bits >= 64.
-inline __m256i MulLo64(__m256i a, __m256i b) {
-  const __m256i a_hi = _mm256_srli_epi64(a, 32);
-  const __m256i b_hi = _mm256_srli_epi64(b, 32);
-  const __m256i lo = _mm256_mul_epu32(a, b);
-  const __m256i cross = _mm256_add_epi64(_mm256_mul_epu32(a, b_hi),
-                                         _mm256_mul_epu32(a_hi, b));
-  return _mm256_add_epi64(lo, _mm256_slli_epi64(cross, 32));
-}
-
-// Hash64 (common/random.h) on four lanes.
-inline __m256i Hash64x4(__m256i x) {
-  const __m256i seed = _mm256_set1_epi64x(
-      static_cast<long long>(0xa24baed4963ee407ULL));
-  const __m256i m1 = _mm256_set1_epi64x(
-      static_cast<long long>(0xff51afd7ed558ccdULL));
-  const __m256i m2 = _mm256_set1_epi64x(
-      static_cast<long long>(0xc4ceb9fe1a85ec53ULL));
-  x = _mm256_xor_si256(x, seed);
-  x = _mm256_xor_si256(x, _mm256_srli_epi64(x, 33));
-  x = MulLo64(x, m1);
-  x = _mm256_xor_si256(x, _mm256_srli_epi64(x, 33));
-  x = MulLo64(x, m2);
-  x = _mm256_xor_si256(x, _mm256_srli_epi64(x, 33));
-  return x;
-}
-
-// HashDoubleValue's canonicalization on four bit-pattern lanes.
-inline __m256i CanonicalizeDoubleBits(__m256i bits) {
-  const __m256i abs_mask = _mm256_set1_epi64x(
-      static_cast<long long>(0x7fffffffffffffffULL));
-  const __m256i inf_bits = _mm256_set1_epi64x(
-      static_cast<long long>(0x7ff0000000000000ULL));
-  const __m256i qnan_bits = _mm256_set1_epi64x(
-      static_cast<long long>(0x7ff8000000000000ULL));
-  const __m256i abs = _mm256_and_si256(bits, abs_mask);
-  // +-0.0 -> +0.0: clear the word when the magnitude is zero.
-  const __m256i zero_mask = _mm256_cmpeq_epi64(abs, _mm256_setzero_si256());
-  bits = _mm256_andnot_si256(zero_mask, bits);
-  // NaN -> canonical qNaN. abs has the sign bit clear, so the signed
-  // 64-bit compare is an unsigned compare here.
-  const __m256i nan_mask = _mm256_cmpgt_epi64(abs, inf_bits);
-  return _mm256_blendv_epi8(bits, qnan_bits, nan_mask);
-}
 
 // Fold constants for moving a 128-bit chunk D bits further on. A loaded
 // chunk holds message bit j at register bit j, i.e. the coefficient of
@@ -156,69 +100,6 @@ struct MaddChunkSum {
 };
 
 }  // namespace
-
-void HashInt64SpanAvx2(const int64_t* values, size_t count, uint64_t* out) {
-  size_t i = 0;
-  for (; i + 4 <= count; i += 4) {
-    const __m256i v = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(values + i));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i), Hash64x4(v));
-  }
-  for (; i < count; ++i) out[i] = Hash64(static_cast<uint64_t>(values[i]));
-}
-
-void HashDoubleSpanAvx2(const double* values, size_t count, uint64_t* out) {
-  size_t i = 0;
-  for (; i + 4 <= count; i += 4) {
-    const __m256i bits = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(values + i));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i),
-                        Hash64x4(CanonicalizeDoubleBits(bits)));
-  }
-  for (; i < count; ++i) out[i] = HashDoubleValue(values[i]);
-}
-
-void HashInt64GatherAvx2(const int64_t* base, const int64_t* rows,
-                         size_t count, uint64_t* out) {
-  size_t i = 0;
-  for (; i + 4 <= count; i += 4) {
-    const __m256i idx = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(rows + i));
-    const __m256i v = _mm256_i64gather_epi64(
-        reinterpret_cast<const long long*>(base), idx, 8);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i), Hash64x4(v));
-  }
-  for (; i < count; ++i) {
-    out[i] = Hash64(static_cast<uint64_t>(base[rows[i]]));
-  }
-}
-
-void HashDoubleGatherAvx2(const double* base, const int64_t* rows,
-                          size_t count, uint64_t* out) {
-  size_t i = 0;
-  for (; i + 4 <= count; i += 4) {
-    const __m256i idx = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(rows + i));
-    const __m256i bits = _mm256_i64gather_epi64(
-        reinterpret_cast<const long long*>(base), idx, 8);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i),
-                        Hash64x4(CanonicalizeDoubleBits(bits)));
-  }
-  for (; i < count; ++i) out[i] = HashDoubleValue(base[rows[i]]);
-}
-
-void HashLookupCodes32Avx2(const int32_t* codes, const uint64_t* lut,
-                           size_t count, uint64_t* out) {
-  size_t i = 0;
-  for (; i + 4 <= count; i += 4) {
-    const __m128i idx = _mm_loadu_si128(
-        reinterpret_cast<const __m128i*>(codes + i));
-    const __m256i v = _mm256_i32gather_epi64(
-        reinterpret_cast<const long long*>(lut), idx, 8);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i), v);
-  }
-  for (; i < count; ++i) out[i] = lut[static_cast<uint32_t>(codes[i])];
-}
 
 uint64_t Crc64NvmeUpdateAvx2(uint64_t crc, const uint8_t* bytes,
                              size_t count) {

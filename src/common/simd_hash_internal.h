@@ -26,8 +26,8 @@ constexpr uint64_t Crc64NvmeXPowModP(int n) {
   return r;
 }
 
-// The slicing-by-8 table path: the scalar/NEON kernel and the tail of the
-// AVX2 one.
+// The slicing-by-8 table path: the scalar kernel and the tail of the AVX2
+// one.
 uint64_t Crc64NvmeUpdateTable(uint64_t crc, const uint8_t* bytes,
                               size_t count);
 
@@ -89,14 +89,6 @@ void GatherDeltasChunked(uint64_t base, const uint8_t* deltas, size_t count,
 void GatherDeltaValuesAvx2(int width, uint64_t base, const uint8_t* deltas,
                            size_t count, std::span<const uint32_t> offsets,
                            int64_t* out);
-void HashInt64SpanAvx2(const int64_t* values, size_t count, uint64_t* out);
-void HashDoubleSpanAvx2(const double* values, size_t count, uint64_t* out);
-void HashInt64GatherAvx2(const int64_t* base, const int64_t* rows,
-                         size_t count, uint64_t* out);
-void HashDoubleGatherAvx2(const double* base, const int64_t* rows,
-                          size_t count, uint64_t* out);
-void HashLookupCodes32Avx2(const int32_t* codes, const uint64_t* lut,
-                           size_t count, uint64_t* out);
 uint64_t Crc64NvmeUpdateAvx2(uint64_t crc, const uint8_t* bytes,
                              size_t count);
 #endif

@@ -7,7 +7,6 @@
 #include <limits>
 #include <numeric>
 
-#include "common/simd_hash.h"
 #include "common/value_hash.h"
 #include "storage/mapped_file.h"
 
@@ -17,7 +16,7 @@ namespace {
 
 // Per-thread single-block decode caches, shared by every blocked column in
 // the process. A cache entry is keyed by (column instance id, block), so a
-// thread re-hashing inside one block (Algorithm L's steady state, or a
+// thread re-hashing inside one block (per-row HashAt in row order, or a
 // slice walk) decodes it once; a different thread never observes another
 // thread's scratch. Column ids are process-unique (monotone counter), so a
 // recycled heap address can never revive a dead column's cache entry. One

@@ -17,8 +17,7 @@ namespace ndv {
 // a sequence of independently-coded blocks: raw blocks are aliased in
 // place (zero-copy), compressed blocks (delta, narrow dict codes) decode on
 // demand into a small per-thread scratch buffer — one block at a time, so
-// a full scan runs in bounded memory and a sampled scan never decodes a
-// block Algorithm L skipped.
+// a full scan runs in bounded memory.
 //
 // The cache holds one block, so callers must visit rows block by block to
 // decode each block once; the slice walks (HashSlice, Copy*) do by

@@ -11,9 +11,11 @@
 namespace ndv {
 namespace {
 
-// Appends rows [begin, end) of `column` as typed int64 values.
+// Appends rows [begin, end) of `column` as typed int64 values. An empty
+// range appends nothing from a column of any type.
 Status AppendInt64(const Column& column, int64_t begin, int64_t end,
                    std::vector<int64_t>* out) {
+  if (begin == end) return Status::Ok();
   if (const auto* heap = dynamic_cast<const Int64Column*>(&column)) {
     out->insert(out->end(), heap->values().begin() + begin,
                 heap->values().begin() + end);
@@ -31,6 +33,7 @@ Status AppendInt64(const Column& column, int64_t begin, int64_t end,
 
 Status AppendDouble(const Column& column, int64_t begin, int64_t end,
                     std::vector<double>* out) {
+  if (begin == end) return Status::Ok();
   if (const auto* heap = dynamic_cast<const DoubleColumn*>(&column)) {
     out->insert(out->end(), heap->values().begin() + begin,
                 heap->values().begin() + end);
@@ -115,14 +118,16 @@ StatusOr<Table> ConcatTables(const Table& base, const Table& appended) {
           static_cast<long long>(c), base.column_name(c).c_str(),
           appended.column_name(c).c_str());
     }
-    if (head.type() != tail.type()) {
+    // A zero-row column holds no value to conflict with, so it takes the
+    // other side's type: a header-only CSV types its columns as strings.
+    if (head.size() > 0 && tail.size() > 0 && head.type() != tail.type()) {
       return InvalidArgumentError(
           "schema mismatch at column '%s': %s vs %s",
           base.column_name(c).c_str(),
           std::string(ColumnTypeName(head.type())).c_str(),
           std::string(ColumnTypeName(tail.type())).c_str());
     }
-    switch (head.type()) {
+    switch (head.size() > 0 ? head.type() : tail.type()) {
       case ColumnType::kInt64: {
         std::vector<int64_t> values;
         values.reserve(static_cast<size_t>(head.size() + tail.size()));

@@ -26,7 +26,8 @@ StatusOr<std::unique_ptr<Column>> MaterializeColumnSlice(
 
 // A heap table holding base's rows followed by appended's rows, column by
 // column. The schemas must match (same column count, names, and types, in
-// order); mismatches return InvalidArgument naming the first offender.
+// order); mismatches return InvalidArgument naming the first offender. A
+// zero-row column matches a column of any type and takes its type.
 StatusOr<Table> ConcatTables(const Table& base, const Table& appended);
 
 }  // namespace ndv

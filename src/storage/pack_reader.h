@@ -25,8 +25,8 @@ namespace ndv {
 // checks and malformed input always yields a typed Status
 // (fuzz/fuzz_ndvpack_v2.cc holds that line). Opening does NOT decode any
 // data: raw blocks alias the mapping and compressed blocks decode lazily
-// per block, so a sampled scan touches only the blocks Algorithm L lands
-// on.
+// per block, and a sampled gather reads its rows in place, so it touches
+// only the blocks that hold a sampled row.
 
 // Per-block metadata, exposed for the verifier tool and tests.
 struct PackV2BlockInfo {

@@ -2,7 +2,7 @@
 
 #include <unordered_map>
 
-#include "common/simd_hash.h"
+#include "common/value_hash.h"
 
 namespace ndv {
 

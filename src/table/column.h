@@ -148,10 +148,9 @@ class StringColumn final : public Column {
   std::vector<uint64_t> hashes_;  // one per dictionary entry
 };
 
-// HashBytes and HashDoubleValue — the shared value-hash primitives every
-// column class and batch kernel uses — live in common/value_hash.h (pulled
-// in above) so the SIMD layer under this hierarchy can reach them without
-// a dependency cycle.
+// HashBytes, HashDoubleValue and the batch loops built on them — the
+// value hashes every column class uses — live in common/value_hash.h
+// (pulled in above).
 
 }  // namespace ndv
 

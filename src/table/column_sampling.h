@@ -12,8 +12,9 @@ namespace ndv {
 
 // Glue between row sampling and the frequency profile: batch-hashes all
 // sampled rows of a column with one HashRange call into an r-sized hash
-// buffer (blocked columns group the gather by block, decoding each touched
-// block once), then counts the buffer through a flat counter into a
+// buffer (blocked columns bucket the gather by block and read each value
+// in place, decoding no block), then counts the buffer in
+// FrequencyProfile::FromValues's one r-sized slot array into a
 // SampleSummary.
 
 enum class SamplingScheme {

@@ -387,23 +387,22 @@ TEST(PackCodecTest, ChecksumMatchesItsGoldenValue) {
   EXPECT_EQ(Crc64Nvme(data), 0x9a9a15922194c6caULL);
 }
 
-// Every available level's CRC register, from a register that is not the
-// init value, equals the scalar table's.
+// The PCLMUL fold's CRC register, from a register that is not the init
+// value, equals the scalar table's.
 TEST(PackCodecTest, EveryLevelMatchesTheTableAtEveryLengthAndOffset) {
+  if (!SimdLevelAvailable(SimdLevel::kAvx2)) {
+    GTEST_SKIP() << "no avx2 level on this host";
+  }
   std::vector<uint8_t> buffer(4096 + 16);
   Rng rng(0x5eed);
   for (uint8_t& byte : buffer) byte = static_cast<uint8_t>(rng.NextU64());
-  for (const SimdLevel level : {SimdLevel::kAvx2, SimdLevel::kNeon}) {
-    if (!SimdLevelAvailable(level)) continue;
-    SCOPED_TRACE(SimdLevelName(level));
-    for (size_t offset = 0; offset < 16; ++offset) {
-      for (size_t length = 0; length <= 4096; ++length) {
-        const uint64_t start = Hash64(offset * 4097 + length);
-        const uint8_t* bytes = buffer.data() + offset;
-        ASSERT_EQ(Crc64NvmeUpdateAt(level, start, bytes, length),
-                  Crc64NvmeUpdateAt(SimdLevel::kScalar, start, bytes, length))
-            << "offset " << offset << " length " << length;
-      }
+  for (size_t offset = 0; offset < 16; ++offset) {
+    for (size_t length = 0; length <= 4096; ++length) {
+      const uint64_t start = Hash64(offset * 4097 + length);
+      const uint8_t* bytes = buffer.data() + offset;
+      ASSERT_EQ(Crc64NvmeUpdateAt(SimdLevel::kAvx2, start, bytes, length),
+                Crc64NvmeUpdateAt(SimdLevel::kScalar, start, bytes, length))
+          << "offset " << offset << " length " << length;
     }
   }
 }
@@ -414,8 +413,7 @@ TEST(PackCodecTest, EveryLevelMatchesTheTableUnderRandomChunkings) {
   for (uint8_t& byte : buffer) byte = static_cast<uint8_t>(rng.NextU64());
   const uint64_t want = Crc64NvmeUpdateAt(SimdLevel::kScalar, ~uint64_t{0},
                                           buffer.data(), buffer.size());
-  for (const SimdLevel level :
-       {SimdLevel::kScalar, SimdLevel::kAvx2, SimdLevel::kNeon}) {
+  for (const SimdLevel level : {SimdLevel::kScalar, SimdLevel::kAvx2}) {
     if (!SimdLevelAvailable(level)) continue;
     SCOPED_TRACE(SimdLevelName(level));
     for (int trial = 0; trial < 8; ++trial) {

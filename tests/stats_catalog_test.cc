@@ -1,11 +1,17 @@
 #include "catalog/stats_catalog.h"
 
+#include <cstdint>
+#include <cstring>
+#include <memory>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "datagen/real_world_like.h"
+#include "storage/pack_reader.h"
+#include "storage/pack_writer.h"
 
 namespace ndv {
 namespace {
@@ -171,6 +177,60 @@ TEST(AnalyzeTableTest, ExactModeIsThreadCountInvariant) {
     const StatsCatalog catalog = AnalyzeTable(census, options);
     EXPECT_EQ(catalog.Serialize(), baseline.Serialize())
         << "threads=" << threads;
+  }
+}
+
+// A table of zero rows: one int64, one double and one string column.
+Table MakeZeroRowTable() {
+  Table table;
+  table.AddColumn("ints",
+                  std::make_unique<Int64Column>(std::vector<int64_t>{}));
+  table.AddColumn("doubles",
+                  std::make_unique<DoubleColumn>(std::vector<double>{}));
+  table.AddColumn("strings", std::make_unique<StringColumn>(
+                                 std::vector<std::string>{}));
+  return table;
+}
+
+// `heap` packed and opened from an 8-byte-aligned in-memory image that the
+// columns keep alive.
+Table OpenAsPack(const Table& heap) {
+  const std::string bytes = SerializePackV2(heap);
+  auto words = std::make_shared<std::vector<uint64_t>>((bytes.size() + 7) / 8);
+  std::memcpy(words->data(), bytes.data(), bytes.size());
+  auto opened = OpenPackV2FromBytes(
+      {reinterpret_cast<const uint8_t*>(words->data()), bytes.size()}, words);
+  NDV_CHECK_MSG(opened.ok(), "%s", opened.status().ToString().c_str());
+  return std::move(opened).value();
+}
+
+// A sampled ANALYZE has no row to draw from a zero-row column and knows
+// its answer exactly, so it publishes what exact mode publishes, on heap
+// and pack storage, at every thread count.
+TEST(AnalyzeTableTest, ZeroRowColumnsPublishAsExactModeDoes) {
+  const Table heap = MakeZeroRowTable();
+  const Table pack = OpenAsPack(heap);
+  for (const Table* table : {&heap, &pack}) {
+    for (const int threads : {1, 4}) {
+      SCOPED_TRACE(std::string(table == &heap ? "heap" : "pack") +
+                   ", threads=" + std::to_string(threads));
+      AnalyzeOptions exact;
+      exact.exact = true;
+      exact.threads = threads;
+      AnalyzeOptions sampled;
+      sampled.threads = threads;
+      const StatsCatalog catalog = AnalyzeTable(*table, sampled);
+      EXPECT_EQ(catalog.Serialize(), AnalyzeTable(*table, exact).Serialize());
+      ASSERT_EQ(catalog.entries().size(), 3u);
+      for (const ColumnStats& stats : catalog.entries()) {
+        EXPECT_EQ(stats.table_rows, 0) << stats.column_name;
+        EXPECT_EQ(stats.sample_rows, 0) << stats.column_name;
+        EXPECT_EQ(stats.sample_distinct, 0) << stats.column_name;
+        EXPECT_EQ(stats.estimate, 0.0) << stats.column_name;
+        EXPECT_EQ(stats.lower, 0.0) << stats.column_name;
+        EXPECT_EQ(stats.upper, 0.0) << stats.column_name;
+      }
+    }
   }
 }
 

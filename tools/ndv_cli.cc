@@ -309,6 +309,10 @@ int CmdEstimate(const Flags& flags) {
   const std::string column_name =
       GetFlag(flags, "column", table.column_name(0));
   const ndv::Column& column = FindColumnOrDie(table, column_name);
+  if (column.size() == 0) {
+    Fail("cannot estimate an empty column ('" + column_name +
+         "' has 0 rows)");
+  }
   const std::string which = GetFlag(flags, "estimator", "paper");
   const bool bootstrap = GetFlag(flags, "bootstrap", "false") == "true";
 
