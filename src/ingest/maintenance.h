@@ -24,7 +24,9 @@ namespace ndv {
 //   * Every append batch updates the column's tracker in O(batch) and
 //     publishes a refreshed ColumnStats — estimate plus GEE
 //     [LOWER, UPPER] — as a new catalog epoch (copy-on-write Put), so
-//     readers always see statistics covering the appended rows.
+//     readers always see statistics covering the appended rows. The
+//     tracker keeps its reservoir's profile current, so the publication
+//     reads it in O(max frequency), not O(reservoir).
 //   * Drift trigger: each publication compares the tracker's O(1) sketch
 //     drift since the last full re-ANALYZE against the width of the
 //     interval that re-ANALYZE published. Only when drift EXCEEDS the

@@ -34,8 +34,9 @@ namespace ndv {
 //     tracker's running sketch estimate drifts out of the published
 //     [LOWER, UPPER] bracket — a wide (low-information) interval
 //     tolerates more drift before forcing a re-ANALYZE than a tight one.
-//     The drift read is O(1) in the tracker's sketch registers (no
-//     estimator re-evaluation over the reservoir on the probe path).
+//     The drift read is O(1): the tracker's sketches keep their estimate
+//     inputs current (no estimator re-evaluation over the reservoir on
+//     the probe path).
 //   * ANALYZE with force=false is a cache probe: it re-analyzes and
 //     publishes a new epoch only if some column is stale, otherwise it
 //     answers with the current epoch and refreshed=false.

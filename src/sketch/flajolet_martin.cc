@@ -29,10 +29,15 @@ void FlajoletMartin::Add(uint64_t hash) {
 double FlajoletMartin::Estimate() const {
   const double m = static_cast<double>(maps_.size());
   double sum_r = 0.0;
+  bool empty = true;
   for (uint64_t map : maps_) {
     // Position of the lowest zero bit.
     sum_r += static_cast<double>(std::countr_one(map));
+    empty &= map == 0;
   }
+  // Every Add sets a bit, so all-zero maps mean nothing was added; the
+  // formula would read m / phi there.
+  if (empty) return 0.0;
   return m / kPhi * std::exp2(sum_r / m);
 }
 

@@ -11,6 +11,8 @@ namespace ndv {
 HyperLogLog::HyperLogLog(int precision) : precision_(precision) {
   NDV_CHECK(4 <= precision && precision <= 18);
   registers_.resize(size_t{1} << precision, 0);
+  rank_counts_.resize(static_cast<size_t>(64 - precision + 2), 0);
+  rank_counts_[0] = static_cast<int32_t>(registers_.size());
 }
 
 void HyperLogLog::Add(uint64_t hash) {
@@ -21,7 +23,11 @@ void HyperLogLog::Add(uint64_t hash) {
   const int rank =
       rest == 0 ? (64 - precision_ + 1) : (std::countl_zero(rest) + 1);
   uint8_t& reg = registers_[index];
-  reg = std::max<uint8_t>(reg, static_cast<uint8_t>(rank));
+  if (rank > reg) {
+    --rank_counts_[reg];
+    ++rank_counts_[static_cast<size_t>(rank)];
+    reg = static_cast<uint8_t>(rank);
+  }
 }
 
 double HyperLogLog::Estimate() const {
@@ -36,12 +42,13 @@ double HyperLogLog::Estimate() const {
   } else {
     alpha = 0.7213 / (1.0 + 1.079 / m);
   }
+  // Smallest terms first; each term count * 2^-rank is exact.
   double harmonic = 0.0;
-  int64_t zeros = 0;
-  for (uint8_t reg : registers_) {
-    harmonic += std::exp2(-static_cast<double>(reg));
-    if (reg == 0) ++zeros;
+  for (size_t rank = rank_counts_.size(); rank-- > 0;) {
+    harmonic += std::ldexp(static_cast<double>(rank_counts_[rank]),
+                           -static_cast<int>(rank));
   }
+  const int64_t zeros = rank_counts_[0];
   const double raw = alpha * m * m / harmonic;
   if (raw <= 2.5 * m && zeros > 0) {
     // Small-range correction: linear counting over empty registers.

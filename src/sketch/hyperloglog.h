@@ -13,6 +13,13 @@ namespace ndv {
 // rank per bucket; the harmonic mean gives the raw estimate, and when the
 // raw estimate is small the linear-counting estimate over empty registers
 // is used instead. Relative error ~1.04 / sqrt(2^precision).
+//
+// A count of registers per rank is kept current as registers grow, so
+// Estimate() sums at most 64 - precision + 2 terms instead of reading every
+// register. The per-rank sum equals the register-order sum whenever every
+// partial sum is exact, i.e. while every register is <= 53 - precision
+// (41 at precision 12): a register beyond that needs a hash with 41 or more
+// leading zero bits after the index.
 class HyperLogLog final : public DistinctCounter {
  public:
   // Requires 4 <= precision <= 18.
@@ -25,7 +32,8 @@ class HyperLogLog final : public DistinctCounter {
     return static_cast<int64_t>(registers_.size());
   }
 
-  // Member-wise (the abstract base carries no state to compare).
+  // Member-wise (the abstract base carries no state to compare; the rank
+  // counts follow from the registers).
   bool operator==(const HyperLogLog& other) const {
     return precision_ == other.precision_ && registers_ == other.registers_;
   }
@@ -36,6 +44,8 @@ class HyperLogLog final : public DistinctCounter {
  private:
   int precision_;
   std::vector<uint8_t> registers_;
+  // rank_counts_[k] registers hold rank k, for k in [0, 64 - precision + 1].
+  std::vector<int32_t> rank_counts_;
 };
 
 // K-minimum-values sketch: keeps the k smallest distinct hashes; with

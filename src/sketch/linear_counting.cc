@@ -1,37 +1,37 @@
 #include "sketch/linear_counting.h"
 
-#include <bit>
 #include <cmath>
 
 #include "common/check.h"
 
 namespace ndv {
 
-LinearCounting::LinearCounting(int64_t bits) : bits_(bits) {
-  NDV_CHECK(bits >= 1);
+LinearCounting::LinearCounting(int64_t bits) : bits_(bits), zero_bits_(bits) {
+  NDV_CHECK_MSG(bits >= 1 && (bits & (bits - 1)) == 0,
+                "linear counting needs a power-of-two bitmap, got %lld bits",
+                static_cast<long long>(bits));
   words_.resize(static_cast<size_t>((bits + 63) / 64), 0);
 }
 
 void LinearCounting::Add(uint64_t hash) {
-  const uint64_t bit = hash % static_cast<uint64_t>(bits_);
-  words_[bit / 64] |= (uint64_t{1} << (bit % 64));
-}
-
-int64_t LinearCounting::zero_bits() const {
-  int64_t ones = 0;
-  for (uint64_t w : words_) ones += std::popcount(w);
-  // Bits beyond bits_ in the last word are never set.
-  return bits_ - ones;
+  const uint64_t bit = hash & static_cast<uint64_t>(bits_ - 1);
+  uint64_t& word = words_[bit / 64];
+  const uint64_t flag = uint64_t{1} << (bit % 64);
+  if ((word & flag) == 0) {
+    word |= flag;
+    --zero_bits_;
+  }
 }
 
 double LinearCounting::Estimate() const {
-  const int64_t z = zero_bits();
   const double m = static_cast<double>(bits_);
-  if (z == 0) {
+  // Nothing added: -m * ln(1) would read -0.
+  if (zero_bits_ == bits_) return 0.0;
+  if (zero_bits_ == 0) {
     // Saturated bitmap: report the asymptote.
     return m * std::log(m);
   }
-  return -m * std::log(static_cast<double>(z) / m);
+  return -m * std::log(static_cast<double>(zero_bits_) / m);
 }
 
 }  // namespace ndv

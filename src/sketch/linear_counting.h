@@ -13,9 +13,13 @@ namespace ndv {
 // estimate is D_hat = -m * ln(z / m). Accurate while the bitmap is not
 // saturated (load factor up to ~12 with small error); degenerates once
 // z == 0, where the estimate saturates at m * ln(m).
+//
+// The zero-bit count is kept current on every 0 -> 1 flip, so zero_bits()
+// and Estimate() are O(1) reads.
 class LinearCounting final : public DistinctCounter {
  public:
-  // `bits` is the bitmap size m; requires bits >= 1.
+  // `bits` is the bitmap size m; requires a power of two (a hash selects
+  // its bit by masking).
   explicit LinearCounting(int64_t bits);
 
   std::string_view name() const override { return "LinearCounting"; }
@@ -25,17 +29,19 @@ class LinearCounting final : public DistinctCounter {
     return static_cast<int64_t>(words_.size()) * 8;
   }
 
-  int64_t zero_bits() const;
+  int64_t zero_bits() const { return zero_bits_; }
 
   int64_t bits() const { return bits_; }
 
-  // Member-wise (the abstract base carries no state to compare).
+  // Member-wise (the abstract base carries no state to compare; the
+  // zero-bit count follows from the words).
   bool operator==(const LinearCounting& other) const {
     return bits_ == other.bits_ && words_ == other.words_;
   }
 
  private:
   int64_t bits_;
+  int64_t zero_bits_;
   std::vector<uint64_t> words_;
 };
 

@@ -1,4 +1,8 @@
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -63,6 +67,33 @@ TEST(LinearCountingTest, ZeroBitsTracksBitmap) {
   EXPECT_EQ(counter.zero_bits(), 127);
 }
 
+TEST(LinearCountingTest, ZeroBitsMatchesPopcountThroughSaturation) {
+  // A reference bitmap indexed by hash % m, counted by popcount after every
+  // add, from empty until long after the last bit flips.
+  for (const int64_t bits : {int64_t{1}, int64_t{64}, int64_t{4096}}) {
+    LinearCounting counter(bits);
+    std::vector<uint64_t> reference(static_cast<size_t>((bits + 63) / 64), 0);
+    Rng rng(static_cast<uint64_t>(bits));
+    const int64_t adds = bits * 16;
+    for (int64_t i = 0; i < adds; ++i) {
+      const uint64_t hash = rng.NextU64();
+      const uint64_t bit = hash % static_cast<uint64_t>(bits);
+      reference[bit / 64] |= uint64_t{1} << (bit % 64);
+      counter.Add(hash);
+      int64_t ones = 0;
+      for (const uint64_t word : reference) ones += std::popcount(word);
+      ASSERT_EQ(counter.zero_bits(), bits - ones)
+          << bits << " bits, add " << i;
+    }
+    EXPECT_EQ(counter.zero_bits(), 0) << bits << " bits";
+  }
+}
+
+TEST(LinearCountingDeathTest, RejectsANonPowerOfTwoBitmap) {
+  EXPECT_DEATH(LinearCounting(100), "power-of-two");
+  EXPECT_DEATH(LinearCounting(0), "power-of-two");
+}
+
 TEST(FlajoletMartinTest, BallparkAccuracy) {
   FlajoletMartin counter(256);
   FeedDistinct(counter, 50000, 2);
@@ -91,6 +122,55 @@ TEST(HyperLogLogTest, SmallRangeCorrectionKicksIn) {
   EXPECT_NEAR(counter.Estimate(), 100.0, 10.0);
 }
 
+// HyperLogLog::Estimate as a register-order pass: sum 2^-register over the
+// registers in index order, then the small-range correction.
+double RegisterOrderEstimate(const std::vector<uint8_t>& registers) {
+  const double m = static_cast<double>(registers.size());
+  double alpha = 0.7213 / (1.0 + 1.079 / m);
+  if (registers.size() == 16) alpha = 0.673;
+  if (registers.size() == 32) alpha = 0.697;
+  if (registers.size() == 64) alpha = 0.709;
+  double harmonic = 0.0;
+  int64_t zeros = 0;
+  for (const uint8_t reg : registers) {
+    harmonic += std::exp2(-static_cast<double>(reg));
+    if (reg == 0) ++zeros;
+  }
+  const double raw = alpha * m * m / harmonic;
+  if (raw <= 2.5 * m && zeros > 0) {
+    return m * std::log(m / static_cast<double>(zeros));
+  }
+  return raw;
+}
+
+TEST(HyperLogLogTest, RankCountEstimateEqualsRegisterOrderSum) {
+  // The per-rank sum equals the register-order sum while every register is
+  // <= 53 - precision; the stream stays inside that domain (asserted).
+  constexpr int64_t kHashes = int64_t{1} << 22;
+  for (const int precision : {4, 12, 18}) {
+    HyperLogLog counter(precision);
+    std::vector<uint8_t> registers(size_t{1} << precision, 0);
+    EXPECT_EQ(counter.Estimate(), RegisterOrderEstimate(registers));
+    int64_t checkpoint = 1;
+    for (int64_t i = 1; i <= kHashes; ++i) {
+      const uint64_t hash = Hash64(static_cast<uint64_t>(i));
+      counter.Add(hash);
+      const uint64_t rest = hash << precision;
+      const int rank =
+          rest == 0 ? 64 - precision + 1 : std::countl_zero(rest) + 1;
+      uint8_t& reg = registers[hash >> (64 - precision)];
+      reg = std::max(reg, static_cast<uint8_t>(rank));
+      if (i == checkpoint || i == kHashes) {
+        ASSERT_LE(*std::max_element(registers.begin(), registers.end()),
+                  53 - precision);
+        ASSERT_EQ(counter.Estimate(), RegisterOrderEstimate(registers))
+            << "precision " << precision << ", " << i << " hashes";
+        checkpoint = checkpoint * 5 / 4 + 1;
+      }
+    }
+  }
+}
+
 TEST(HyperLogLogTest, MemoryIsOneBytePerRegister) {
   EXPECT_EQ(HyperLogLog(12).MemoryBytes(), 4096);
   EXPECT_EQ(HyperLogLog(4).MemoryBytes(), 16);
@@ -115,6 +195,14 @@ TEST(KmvTest, DuplicatesIgnored) {
   FeedDistinct(a, 1000, 1);
   FeedDistinct(b, 1000, 10);
   EXPECT_DOUBLE_EQ(a.Estimate(), b.Estimate());
+}
+
+TEST(MakeAllDistinctCountersTest, EmptyCountersReadPositiveZero) {
+  for (const auto& counter : MakeAllDistinctCounters()) {
+    const double estimate = counter->Estimate();
+    EXPECT_TRUE(estimate == 0.0 && !std::signbit(estimate))
+        << counter->name() << " reads " << estimate;
+  }
 }
 
 TEST(MakeAllDistinctCountersTest, AllProduceEstimates) {

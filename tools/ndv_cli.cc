@@ -216,6 +216,13 @@ void WriteTableByExtension(const ndv::Table& table,
   }
 }
 
+// --rows: the number of rows to generate, which must be >= 1.
+int64_t GetRows(const Flags& flags, int64_t default_value) {
+  const int64_t rows = GetInt(flags, "rows", default_value);
+  if (rows < 1) Fail("--rows must be >= 1, got " + std::to_string(rows));
+  return rows;
+}
+
 int CmdGenerate(const Flags& flags) {
   const std::string kind = GetFlag(flags, "kind", "zipf");
   const std::string out_path = GetFlag(flags, "out", "");
@@ -227,21 +234,29 @@ int CmdGenerate(const Flags& flags) {
   ndv::Table table;
   if (kind == "zipf") {
     ndv::ZipfColumnOptions options;
-    options.rows = GetInt(flags, "rows", 100000);
+    options.rows = GetRows(flags, 100000);
     options.z = GetDouble(flags, "z", 1.0);
     options.dup_factor = GetInt(flags, "dup", 1);
     options.seed = static_cast<uint64_t>(GetInt(flags, "seed", 42));
+    if (options.dup_factor < 1) {
+      Fail("--dup must be >= 1, got " + std::to_string(options.dup_factor));
+    }
+    if (options.rows % options.dup_factor != 0) {
+      Fail("--rows (" + std::to_string(options.rows) +
+           ") must be a multiple of --dup (" +
+           std::to_string(options.dup_factor) + ")");
+    }
     table.AddColumn("value", ndv::MakeZipfColumn(options));
   } else if (kind == "census") {
-    table = ndv::MakeCensusLikeScaled(GetInt(flags, "rows", 32561),
+    table = ndv::MakeCensusLikeScaled(GetRows(flags, 32561),
                                       static_cast<uint64_t>(GetInt(flags, "seed", 101)));
   } else if (kind == "covertype") {
     table = ndv::MakeCoverTypeLikeScaled(
-        GetInt(flags, "rows", 581012),
+        GetRows(flags, 581012),
         static_cast<uint64_t>(GetInt(flags, "seed", 202)));
   } else if (kind == "mssales") {
     table = ndv::MakeMSSalesLikeScaled(
-        GetInt(flags, "rows", 1996290),
+        GetRows(flags, 1996290),
         static_cast<uint64_t>(GetInt(flags, "seed", 303)));
   } else {
     Fail("unknown --kind (use zipf|census|covertype|mssales)");
